@@ -5,24 +5,23 @@ pruning; notifications follow the reverse paths of the subscriptions they
 match.  No broker sees traffic its subtree did not ask for — the property
 that lets the per-broker load stay flat as the population grows (E4).
 
+A broker is two :class:`~repro.events.table.FilterTable` instances — one
+for subscriptions, one for advertisements — plus what really differs
+between the kinds: subscriptions drive delivery and can be held back by
+advertisement pruning, advertisements unblock and re-prune them.  The
+wire messages live in :mod:`repro.events.wire`.
+
 Overlays may contain cycles.  Three mechanisms make routing on a mesh
 converge the way it does on a tree:
 
 * **Hop-count-tagged source paths** — every ``Subscribe``/``Advertise``
-  carries the tuple of brokers it has traversed (its hop count is the
-  tuple's length).  A broker never forwards control state to a
-  neighbour already on its path and never stores a reflection of its
-  own forwarding, so the control-plane flood terminates and installs,
-  at every broker, one reverse-path entry per incoming direction —
-  redundant state that later link failures simply prune.  When a copy
-  of an already-known filter arrives over a *different* chain (two
-  subscribers or producers registering the same filter, or a second
-  route around a cycle), the recorded path **narrows** to the
-  intersection of the chains — the brokers every known route passes
-  through — and the filter re-propagates to the neighbours the wider
-  path was wrongly excluding.  Paths only ever shrink, so the extra
-  flooding is finite and the mesh converges to per-link-complete
-  routing state.
+  carries the tuple of brokers it has traversed.  A broker never
+  forwards control state to a neighbour already on its path and never
+  stores a reflection of its own forwarding, so the control-plane flood
+  terminates and installs, at every broker, one reverse-path entry per
+  incoming direction — redundant state that later link failures simply
+  prune.  Paths narrow on duplicate arrivals and re-widen on removals
+  (:mod:`repro.events.table` has the argument for convergence).
 
 * **Per-source reverse-path forwarding with first-hop wins** — every
   publication carries an id ``(origin address, sequence)``; each broker
@@ -50,18 +49,6 @@ converge the way it does on a tree:
   :class:`~repro.events.failure.FailureDetector` drives when its
   heartbeats stop (or resume) crossing a link, making the overlay
   self-healing without any caller noticing the failure first.
-
-* **Path re-widening** — narrowing (above) is driven by *arrivals*; the
-  inverse pass is driven by *removals*.  When one copy of a filter is
-  unsubscribed/unadvertised away but another copy keeps the filter
-  forwarded, the forwarding broker recomputes the path a fresh overlay
-  would send — the intersection of the surviving chains, necessarily a
-  superset of the old narrowed path — and re-sends it with
-  ``path_reset`` so downstream brokers widen their stored paths too.
-  Without it, heavy churn leaves paths narrowed by departed origins,
-  flooding control state wider than a freshly-built overlay ever would.
-  Resets only ever widen (a non-superset reset is ignored), so the
-  narrowing/widening pair cannot oscillate.
 
 Dispatch runs through the predicate-indexed matching fabric
 (:mod:`repro.events.index`): publications are routed with a counting
@@ -103,7 +90,6 @@ indexed+adv_pruned} and across join orders.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.events.covering import filter_covers
@@ -114,11 +100,27 @@ from repro.events.failure import (
     install_detectors,
 )
 from repro.events.filters import Filter, eq, exists, filters_intersect
-from repro.events.index import CoveringPoset, PredicateIndex
+from repro.events.index import CoveringPoset
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification, make_event
 from repro.events.rendezvous import RendezvousEngine
+from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
 from repro.events.subscriptions import Subscription
+from repro.events.table import FilterTable
+from repro.events.wire import (
+    Advertise,
+    MoveIn,
+    MoveOut,
+    Notify,
+    NotifyBatch,
+    Publish,
+    PublishBatch,
+    Subscribe,
+    Transfer,
+    TransferRequest,
+    Unadvertise,
+    Unsubscribe,
+)
 from repro.ids import GUID_DIGITS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,137 +130,7 @@ from repro.net.host import Host
 from repro.net.network import Address, Network
 from repro.simulation import PeriodicTask, Simulator
 
-
-# -- wire messages ------------------------------------------------------
-#
-# Subscribe/Advertise carry ``path``: the ordered tuple of broker
-# addresses the filter has traversed, origin-side first, ending with the
-# sender.  ``len(path)`` is the hop count.  On meshes the tag scopes the
-# flood (never forward to a broker already on the path) and rejects
-# reflections (never store state whose path passes through yourself),
-# which is what lets add/remove churn converge to the same routing state
-# a tree would reach.  On acyclic overlays the tag never changes a
-# forwarding decision, though identical filters from different origins
-# still trigger (no-op) narrowing re-sends — the modest control-traffic
-# price of mesh-readiness.  ``path_reset`` marks a *re-widening* re-send
-# (one surviving copy of a filter recomputed its path after another was
-# removed): the receiver replaces its stored path when the carried one
-# is strictly wider, instead of intersecting.  Retractions carry no tag:
-# they terminate via state-presence checks (removing an absent entry is
-# a no-op), not flood scoping.
-@dataclass(slots=True)
-class Subscribe:
-    filter: Filter
-    path: tuple[Address, ...] = ()
-    path_reset: bool = False
-
-
-@dataclass(slots=True)
-class Unsubscribe:
-    filter: Filter
-
-
-@dataclass(slots=True)
-class Advertise:
-    """A producer declares the notifications it will publish (§3)."""
-
-    filter: Filter
-    path: tuple[Address, ...] = ()
-    path_reset: bool = False
-
-
-@dataclass(slots=True)
-class Unadvertise:
-    filter: Filter
-
-
-@dataclass(slots=True)
-class Publish:
-    """A publication in flight, tagged for duplicate suppression.
-
-    ``pub_id`` is ``(origin address, sequence)`` — stamped by the
-    publishing client (or by the first broker to see an untagged
-    publication) and carried unchanged across every hop, so brokers on
-    a mesh can recognise the second copy arriving over a redundant
-    link.  ``None`` stays accepted for wire compatibility.
-    """
-
-    notification: Notification
-    pub_id: tuple[Address, int] | None = None
-
-
-@dataclass(slots=True)
-class Notify:
-    notification: Notification
-
-
-@dataclass(slots=True)
-class PublishBatch:
-    """A burst of publications travelling as one wire message.
-
-    ``items`` is an ordered tuple of ``(notification, pub_id)`` pairs —
-    each pair carries exactly what a standalone :class:`Publish` would,
-    so a receiver without the batched fast path can unbundle and process
-    them one at a time with identical results.  Order within the batch
-    is the publish order, and the network's per-(src, dst) FIFO makes
-    batch boundaries invisible to delivery ordering.
-    """
-
-    items: tuple
-
-
-@dataclass(slots=True)
-class NotifyBatch:
-    """A burst of client deliveries coalesced into one wire message."""
-
-    notifications: tuple
-
-
-@dataclass(slots=True)
-class MoveOut:
-    """Client announces disconnection; broker must proxy for it (Mobikit)."""
-
-
-@dataclass(slots=True)
-class MoveIn:
-    """Client reappears at a (possibly different) broker."""
-
-    client: Address
-    old_broker: Address | None
-    filters: tuple
-
-
-@dataclass(slots=True)
-class TransferRequest:
-    """Ask the old broker to hand a client's proxy state to ``new_broker``.
-
-    ``successor`` redirects the handover to a *different* endpoint than
-    the one that moved out: a migrating service's replacement instance
-    has its own address, so the old broker addresses the resulting
-    :class:`Transfer` (and its buffered notifications) to the successor
-    rather than back to the departed original.  ``None`` keeps Mobikit's
-    same-client roaming behaviour.
-    """
-
-    client: Address
-    new_broker: Address
-    successor: Address | None = None
-
-
-@dataclass(slots=True)
-class Transfer:
-    """Proxy handover from the old broker to the new one (Mobikit).
-
-    Carries both the buffered notifications and the client's filters as
-    recorded by the old broker.  The MoveIn normally re-registers the
-    filters (the client carries its own list), but the receiving broker
-    also re-registers ``filters`` defensively so a handover can never
-    strip a subscription even if the MoveIn's list was stale.
-    """
-
-    client: Address
-    buffered: tuple
-    filters: tuple
+ROUTING_MODES = ("flood", "dht")
 
 
 class BrokerNode(Host):
@@ -297,8 +169,6 @@ class BrokerNode(Host):
       with Scribe-style rendezvous trees on Pastry state
       (:mod:`repro.events.rendezvous`), measured against flooding in
       benchmark E5's ``dht_scale`` phase.
-    ``rv_refresh`` (default ``1.0`` s) — rendezvous soft-state refresh
-      period; only meaningful under ``routing="dht"``.
     ``shards`` (default ``1``) — partitioned local matching
       (:class:`~repro.events.sharding.ShardedSubscriptionIndex`): the
       subscription table splits across this many subject shards so each
@@ -325,11 +195,10 @@ class BrokerNode(Host):
         advert_on_first_publish: bool = False,
         seen_ttl: float = 30.0,
         routing: str = "flood",
-        rv_refresh: float = 1.0,
         shards: int = 1,
     ):
         super().__init__(sim, network, position)
-        if routing not in ("flood", "dht"):
+        if routing not in ROUTING_MODES:
             raise ValueError(f"unknown routing mode: {routing!r}")
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -364,71 +233,46 @@ class BrokerNode(Host):
         self.control_counts: Counter[str] = Counter()
         self.neighbours: set[Address] = set()
         self.client_addrs: set[Address] = set()
-        # Subscriptions by immediate source (neighbour broker or client).
-        self.subs_by_source: dict[Address, list[Subscription]] = {}
-        # Filters we have already pushed toward each neighbour.
-        self.forwarded: dict[Address, list[Filter]] = {}
-        # Advertisements by immediate source; queryable by management and
-        # discovery tooling ("who produces weather events?").
-        self.adverts_by_source: dict[Address, list[Filter]] = {}
-        self.adverts_forwarded: dict[Address, list[Filter]] = {}
+        # The two filter tables.  They flood over the overlay links only
+        # in flood mode: in dht mode interest is grafted and adverts
+        # register at their discovery root, so no filter crosses a link.
+        # With shards > 1 the subscription index is partitioned by event
+        # subject so each publication sweeps only its partition's
+        # candidate pools (repro.events.sharding); deliveries are
+        # identical either way.
+        self.shards = shards
+        links = self.neighbours if routing == "flood" else frozenset()
+        self.subs = FilterTable(
+            self.addr, links, self._send_control, Subscribe, Unsubscribe,
+            indexed=indexed, covering_enabled=covering_enabled,
+            index=ShardedSubscriptionIndex(ShardPlan(shards)) if shards > 1 else None,
+            record=Subscription.fresh,
+            blocked=self._sub_blocked if adv_pruned else None,
+        )
+        self.adverts = FilterTable(
+            self.addr, links, self._send_control, Advertise, Unadvertise,
+            indexed=indexed, covering_enabled=covering_enabled,
+        )
+        # The tables' own dicts under the names the suites and management
+        # tooling read ("who produces weather events?") — the same
+        # objects, never copies.
+        self.subs_by_source = self.subs.by_source
+        self.forwarded = self.subs.forwarded
+        self._sub_paths = self.subs.paths
+        self._fwd_sent = self.subs.sent
+        self.adverts_by_source = self.adverts.by_source
+        self.adverts_forwarded = self.adverts.forwarded
+        self._adv_paths = self.adverts.paths
+        self._advfwd_sent = self.adverts.sent
         # Mobikit proxies: disconnected client -> buffered notifications.
         self.proxies: dict[Address, list[Notification]] = {}
         self.notifications_processed = 0
         self.notifications_delivered = 0
-        # The matching-fabric structures exist regardless of the switch
-        # (they are cheap when empty); only the indexed path consults them.
-        # Counting index over every stored subscription (payload: the
-        # source it arrived from) — drives _process_publication.  With
-        # shards > 1 the index is partitioned by event subject so each
-        # publication sweeps only its partition's candidate pools
-        # (repro.events.sharding); deliveries are identical either way.
-        self.shards = shards
-        if shards > 1:
-            # Imported lazily: sharding.py uses this module's wire
-            # dataclasses, so a top-level import would be circular.
-            from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
-
-            self._sub_index: PredicateIndex = ShardedSubscriptionIndex(
-                ShardPlan(shards)
-            )
-        else:
-            self._sub_index = PredicateIndex()
-        self._sub_entry_ids: dict[tuple[Address, Filter], int] = {}
-        # Covering poset over the same store — drives the "what was
-        # the removed filter masking?" query on unsubscribe.
-        self._sub_poset = CoveringPoset()
-        self._sub_poset_ids: dict[tuple[Address, Filter], int] = {}
-        self._sub_sources: dict[Filter, set[Address]] = {}
-        # Per-neighbour posets over the forwarded filter sets — drive
-        # the "is this covered by an already-forwarded one?" query.
-        self._fwd_posets: dict[Address, CoveringPoset] = {}
-        self._fwd_ids: dict[Address, dict[Filter, int]] = {}
-        # Advertisement twins of all of the above.
-        self._adv_index = PredicateIndex()
-        self._adv_entry_ids: dict[tuple[Address, Filter], int] = {}
-        self._adv_poset = CoveringPoset()
-        self._adv_poset_ids: dict[tuple[Address, Filter], int] = {}
-        self._adv_sources: dict[Filter, set[Address]] = {}
-        self._advfwd_posets: dict[Address, CoveringPoset] = {}
-        self._advfwd_ids: dict[Address, dict[Filter, int]] = {}
         # Per-source posets over the advertisements received *from* each
         # source — the "does this subtree produce anything the
         # subscription wants?" query behind advertisement pruning.
         self._adv_in: dict[Address, CoveringPoset] = {}
         self._adv_in_ids: dict[tuple[Address, Filter], int] = {}
-        # Source path each stored filter arrived with (clients arrive
-        # with the empty path) — re-forwarding a stored filter (link
-        # sync, unmasking, deferred unblock) re-uses it so the flood
-        # stays loop-scoped on meshes.  Duplicate arrivals over other
-        # chains narrow the path to the chains' intersection.
-        self._sub_paths: dict[tuple[Address, Filter], tuple[Address, ...]] = {}
-        self._adv_paths: dict[tuple[Address, Filter], tuple[Address, ...]] = {}
-        # The path each filter was last pushed toward a neighbour with
-        # (as a set) — when a narrower copy arrives, the delta is
-        # re-sent so the neighbour can narrow its stored path too.
-        self._fwd_sent: dict[Address, dict[Filter, frozenset]] = {}
-        self._advfwd_sent: dict[Address, dict[Filter, frozenset]] = {}
         # Publication duplicate suppression: per-origin sequence floors
         # with TTL expiry.  First copy wins; every later copy arriving
         # over a redundant path is dropped here.
@@ -445,13 +289,26 @@ class BrokerNode(Host):
         # Set by an attached BrokerMetrics; the publication paths feed it
         # every processed notification so it can age the traffic.
         self.metrics: "BrokerMetrics | None" = None
-        # The rendezvous engine exists only in dht mode; every flood
-        # suppression below keys off it.
+        # The rendezvous engine exists only in dht mode.
         self.rv: RendezvousEngine | None = (
-            RendezvousEngine(self, refresh_interval=rv_refresh)
-            if routing == "dht"
-            else None
+            RendezvousEngine(self) if routing == "dht" else None
         )
+        # No wire class is subclassed, so dispatch is one dict lookup on
+        # the payload's exact type.
+        self._handlers: dict[type, Callable[[Address, object], None]] = {
+            Subscribe: self._on_subscribe,
+            Unsubscribe: self._on_unsubscribe,
+            Advertise: self._on_advertise,
+            Unadvertise: self._on_unadvertise,
+            Publish: self._on_publish,
+            PublishBatch: self._on_publish_batch,
+            Heartbeat: self._on_heartbeat,
+            Resync: self._on_resync,
+            MoveOut: self._on_move_out,
+            MoveIn: self._on_move_in,
+            TransferRequest: self._on_transfer_request,
+            Transfer: self._on_transfer,
+        }
 
     # ------------------------------------------------------------------
     # Topology
@@ -476,18 +333,11 @@ class BrokerNode(Host):
         """
         if other.addr in self.neighbours and self.addr in other.neighbours:
             return
-        if other.addr in self.neighbours:
-            self._reset_and_sync(other.addr)
-        else:
-            self.restore_link(other.addr)
-        if self.addr in other.neighbours:
-            other._reset_and_sync(self.addr)
-        else:
-            other.restore_link(self.addr)
-        if self.failure_detector is not None:
-            self.failure_detector.watch(other.addr)
-        if other.failure_detector is not None:
-            other.failure_detector.watch(self.addr)
+        for near, far in ((self, other), (other, self)):
+            near.neighbours.add(far.addr)
+            near._reset_and_sync(far.addr)
+            if near.failure_detector is not None:
+                near.failure_detector.watch(far.addr)
 
     def disconnect(self, other: "BrokerNode") -> None:
         """Tear down the link and withdraw the state it carried.
@@ -533,60 +383,44 @@ class BrokerNode(Host):
         if neighbour in self.neighbours:
             return
         self.neighbours.add(neighbour)
-        self.forwarded.setdefault(neighbour, [])
-        self._sync_new_neighbour(neighbour)
+        self._reset_and_sync(neighbour)
 
-    def _sync_new_neighbour(self, neighbour: Address) -> None:
+    def _reset_and_sync(self, neighbour: Address) -> None:
+        """Start the link's forwarding books afresh and push everything.
+
+        A new link has no books yet; when the far side dropped its half
+        of a link we kept, our records of what it holds are stale and
+        would suppress the re-push, so they are discarded first.
+        """
+        self.adverts.reset(neighbour)
+        self.subs.reset(neighbour)
         if self.rv is not None:
             # No filter state crosses links in dht mode; a new/restored
             # link instead exchanges membership snapshots, from which
             # both sides re-graft their rendezvous trees.
             self.rv.hello(neighbour)
             return
-        for source, filters in list(self.adverts_by_source.items()):
-            if source == neighbour:
-                continue
-            for filter in list(filters):
-                self._forward_filter(
-                    neighbour, filter,
-                    self._adv_paths.get((source, filter), ()),
-                    self.adverts_forwarded, self._advfwd_posets,
-                    self._advfwd_ids, self._advfwd_sent, Advertise,
-                )
-        for source, subs in list(self.subs_by_source.items()):
-            if source == neighbour:
-                continue
-            for sub in list(subs):
-                if self._sub_blocked(neighbour, sub.filter):
-                    continue  # re-forwarded if their advertisements arrive
-                self._forward_filter(
-                    neighbour, sub.filter,
-                    self._sub_paths.get((source, sub.filter), ()),
-                    self.forwarded, self._fwd_posets,
-                    self._fwd_ids, self._fwd_sent, Subscribe,
-                )
+        self.adverts.sync(neighbour)
+        self.subs.sync(neighbour)  # blocked ones follow their advertisements
 
     def _forget_neighbour(self, neighbour: Address) -> None:
-        self.forwarded.pop(neighbour, None)
-        self._fwd_posets.pop(neighbour, None)
-        self._fwd_ids.pop(neighbour, None)
-        self._fwd_sent.pop(neighbour, None)
-        self.adverts_forwarded.pop(neighbour, None)
-        self._advfwd_posets.pop(neighbour, None)
-        self._advfwd_ids.pop(neighbour, None)
-        self._advfwd_sent.pop(neighbour, None)
-        for filter in [s.filter for s in self.subs_by_source.get(neighbour, [])]:
+        self.subs.forget(neighbour)
+        self.adverts.forget(neighbour)
+        for filter in self.subs.filters_from(neighbour):
             self._remove_subscription(neighbour, filter)
-        for filter in list(self.adverts_by_source.get(neighbour, ())):
+        for filter in self.adverts.filters_from(neighbour):
             self._remove_advertisement(neighbour, filter)
-        self.adverts_by_source.pop(neighbour, None)
         self._adv_in.pop(neighbour, None)
 
     def attach_client(self, client_addr: Address) -> None:
         self.client_addrs.add(client_addr)
 
+    def _send_control(self, neighbour: Address, payload) -> None:
+        self.control_counts[type(payload).__name__] += 1
+        self.send(neighbour, payload, size_bytes=128)
+
     # ------------------------------------------------------------------
-    # Subscription management
+    # Subscriptions: the table, plus the rendezvous hooks
     # ------------------------------------------------------------------
     def _store_subscription(
         self,
@@ -595,261 +429,52 @@ class BrokerNode(Host):
         path: tuple[Address, ...] = (),
         path_reset: bool = False,
     ) -> None:
-        if self.addr in path:
-            return  # a reflection of our own forwarding around a cycle
-        subs = self.subs_by_source.setdefault(source, [])
-        if self.indexed:
-            known = source in self._sub_sources.get(filter, ())
-        else:
-            known = any(s.filter == filter for s in subs)
-        if known:
-            if path_reset:
-                if self._widen_stored(source, filter, path, self._sub_paths):
-                    self._propagate_sub_widening(filter)
-            else:
-                self._narrow_stored(
-                    source, filter, path, self._sub_paths,
-                    self._propagate_subscription,
-                )
-            return
-        subs.append(Subscription.fresh(filter, source))
-        if self.indexed:
-            key = (source, filter)
-            self._sub_entry_ids[key] = self._sub_index.add(filter, payload=source)
-            self._sub_poset_ids[key] = self._sub_poset.add(filter, payload=key)
-            self._sub_sources.setdefault(filter, set()).add(source)
-        self._sub_paths[(source, filter)] = path
-        self._propagate_subscription(source, filter, path)
-        if self.rv is not None:
+        if self.subs.store(source, filter, path, path_reset) and self.rv is not None:
             self.rv.on_subscribe(filter)
 
-    def _narrow_stored(
-        self,
-        source: Address,
-        filter: Filter,
-        path: tuple[Address, ...],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-        propagate,
-    ) -> None:
-        """Narrow a stored filter's path when a copy arrives another way.
-
-        The stored path becomes the intersection of every chain the
-        filter has arrived over from this source — only the brokers on
-        *all* of them are guaranteed to know the filter already.  When
-        it shrinks, the filter re-propagates: neighbours the wider path
-        excluded may now legitimately need it.
-        """
-        key = (source, filter)
-        old = paths.get(key)
-        if old is None:
-            return
-        arrived = set(path)
-        new = tuple(x for x in old if x in arrived)
-        if len(new) == len(old):
-            return
-        paths[key] = new
-        propagate(source, filter, new)
-
-    # ------------------------------------------------------------------
-    # Path re-widening (the inverse of narrowing, driven by removals)
-    # ------------------------------------------------------------------
-    def _widen_stored(
-        self,
-        source: Address,
-        filter: Filter,
-        path: tuple[Address, ...],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-    ) -> bool:
-        """Replace a stored path with a strictly wider reset; else ignore.
-
-        Only strict supersets are accepted: a reset is the sender's
-        recomputation after one of the chains feeding an intersection
-        disappeared, so it can only widen — and insisting on that keeps
-        the narrow/widen pair monotone (no oscillating re-sends).
-        """
-        key = (source, filter)
-        old = paths.get(key)
-        if old is None or not set(path) > set(old):
-            return False
-        paths[key] = tuple(path)
-        return True
-
-    def _sub_source_paths(
-        self, filter: Filter, exclude: Address
-    ) -> list[tuple[Address, ...]]:
-        """Stored paths of every copy of ``filter`` not from ``exclude``."""
-        if self.indexed:
-            sources = self._sub_sources.get(filter, ())
-        else:
-            sources = [
-                src
-                for src, subs in self.subs_by_source.items()
-                if any(s.filter == filter for s in subs)
-            ]
-        return [
-            self._sub_paths.get((src, filter), ())
-            for src in sources
-            if src != exclude
-        ]
-
-    def _adv_source_paths(
-        self, filter: Filter, exclude: Address
-    ) -> list[tuple[Address, ...]]:
-        if self.indexed:
-            sources = self._adv_sources.get(filter, ())
-        else:
-            sources = [
-                src
-                for src, filters in self.adverts_by_source.items()
-                if filter in filters
-            ]
-        return [
-            self._adv_paths.get((src, filter), ())
-            for src in sources
-            if src != exclude
-        ]
-
-    def _propagate_sub_widening(self, filter: Filter) -> None:
-        if self.rv is not None:
-            return
-        for neighbour in self.neighbours:
-            self._rewiden_forwarded(
-                neighbour, filter, self._sub_source_paths(filter, neighbour),
-                self.forwarded, self._fwd_sent, Subscribe,
-            )
-
-    def _propagate_adv_widening(self, filter: Filter) -> None:
-        if self.rv is not None:
-            return
-        for neighbour in self.neighbours:
-            self._rewiden_forwarded(
-                neighbour, filter, self._adv_source_paths(filter, neighbour),
-                self.adverts_forwarded, self._advfwd_sent, Advertise,
-            )
-
-    def _rewiden_forwarded(
-        self,
-        neighbour: Address,
-        filter: Filter,
-        survivor_paths: list[tuple[Address, ...]],
-        forwarded: dict[Address, list[Filter]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        forward_msg,
-    ) -> None:
-        """Re-send a forwarded filter whose fresh path is wider than sent.
-
-        ``survivor_paths`` are the stored paths of the copies still
-        justifying the forward; a fresh overlay would send their
-        intersection, which after a removal may be a strict superset of
-        what narrowing left behind.  A wider path means *fewer* brokers
-        flooded on later re-sends — the state a long-lived overlay keeps
-        converges back to what a freshly built one would hold.
-        """
-        if filter not in forwarded.get(neighbour, ()):
-            return
-        sent = sent_paths.get(neighbour)
-        old = sent.get(filter) if sent is not None else None
-        if old is None or not survivor_paths:
-            return
-        base = survivor_paths[0]
-        fresh = set(base)
-        for path in survivor_paths[1:]:
-            fresh &= set(path)
-        if not fresh > old:
-            return
-        if neighbour in fresh:
-            # The neighbour sits on every surviving chain: it would
-            # reject the re-send as a reflection anyway.
-            return
-        sent[filter] = frozenset(fresh)
-        ordered = tuple(x for x in base if x in fresh)
-        self._send_control(
-            neighbour, forward_msg(filter, ordered + (self.addr,), True)
-        )
-
-    def _propagate_subscription(
-        self, source: Address, filter: Filter, path: tuple[Address, ...]
-    ) -> None:
-        if self.rv is not None:
-            return  # dht mode: interest is grafted, never flooded
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            if self._sub_blocked(neighbour, filter):
-                continue  # deferred: unblocked if an advertisement arrives
-            self._forward_filter(
-                neighbour, filter, path, self.forwarded,
-                self._fwd_posets, self._fwd_ids, self._fwd_sent, Subscribe,
-            )
-
     def _remove_subscription(self, source: Address, filter: Filter) -> None:
-        subs = self.subs_by_source.get(source, [])
-        if self.rv is not None and any(s.filter == filter for s in subs):
+        if self.subs.remove(source, filter) and self.rv is not None:
             self.rv.on_unsubscribe(filter)
-        self.subs_by_source[source] = [s for s in subs if s.filter != filter]
-        if not self.subs_by_source[source]:
-            del self.subs_by_source[source]
-        self._sub_paths.pop((source, filter), None)
-        if self.indexed:
-            key = (source, filter)
-            if key in self._sub_entry_ids:
-                self._sub_index.remove(self._sub_entry_ids.pop(key))
-                self._sub_poset.remove(self._sub_poset_ids.pop(key))
-                self._drop_source(self._sub_sources, filter, source)
-            for neighbour in self.neighbours:
-                if neighbour == source:
-                    continue
-                self._retract_forwarded(
-                    neighbour,
-                    filter,
-                    store_poset=self._sub_poset,
-                    sources=self._sub_sources,
-                    paths=self._sub_paths,
-                    forwarded=self.forwarded,
-                    posets=self._fwd_posets,
-                    ids_by_neighbour=self._fwd_ids,
-                    sent_paths=self._fwd_sent,
-                    retract_msg=Unsubscribe,
-                    restore_msg=Subscribe,
-                    restore_pruned=True,
-                )
-            return
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            remaining = [
-                (src, s.filter)
-                for src, subs in self.subs_by_source.items()
-                if src != neighbour
-                for s in subs
-            ]
-            already = self.forwarded.setdefault(neighbour, [])
-            if filter in already and not any(f == filter for _, f in remaining):
-                already.remove(filter)
-                self._fwd_sent.get(neighbour, {}).pop(filter, None)
-                self._send_control(neighbour, Unsubscribe(filter))
-                # Re-forward anything the removed filter was masking
-                # (duplicate/covering/path suppression lives in
-                # _forward_filter).
-                for src, f in remaining:
-                    if self._sub_blocked(neighbour, f):
-                        continue
-                    self._forward_filter(
-                        neighbour, f, self._sub_paths.get((src, f), ()),
-                        self.forwarded, self._fwd_posets, self._fwd_ids,
-                        self._fwd_sent, Subscribe,
-                    )
-            elif filter in already:
-                # Still forwarded on behalf of surviving copies: the
-                # departed chain may have been narrowing the sent path.
-                self._rewiden_forwarded(
-                    neighbour, filter, self._sub_source_paths(filter, neighbour),
-                    self.forwarded, self._fwd_sent, Subscribe,
-                )
 
     # ------------------------------------------------------------------
-    # Advertisement pruning predicates
+    # Advertisements: the table, plus what they do to subscriptions
     # ------------------------------------------------------------------
+    def _store_advertisement(
+        self,
+        source: Address,
+        filter: Filter,
+        path: tuple[Address, ...] = (),
+        path_reset: bool = False,
+    ) -> None:
+        if not self.adverts.store(source, filter, path, path_reset):
+            return
+        if self.indexed:
+            self._adv_in_ids[(source, filter)] = self._adv_in.setdefault(
+                source, CoveringPoset()
+            ).add(filter)
+        if self.rv is not None:
+            self.rv.on_advertise(source, filter)
+        if self.adv_pruned and source in self.neighbours:
+            # Deferred re-propagation: the new advertisement may unblock
+            # subscriptions previously pruned toward its source.
+            self._unblock_subscriptions(source, filter)
+
+    def _remove_advertisement(self, source: Address, filter: Filter) -> None:
+        if not self.adverts.remove(source, filter):
+            return
+        pid = self._adv_in_ids.pop((source, filter), None)
+        if pid is not None:
+            poset = self._adv_in[source]
+            poset.remove(pid)
+            if not len(poset):
+                del self._adv_in[source]
+        if self.rv is not None:
+            self.rv.on_unadvertise(source, filter)
+        if self.adv_pruned and source in self.neighbours:
+            # Symmetric retraction: subscriptions only this advertisement
+            # justified are withdrawn from its source again.
+            self._reprune_subscriptions(source, filter)
+
     def _adv_intersects(self, neighbour: Address, filter: Filter) -> bool:
         """Has ``neighbour`` advertised anything intersecting ``filter``?"""
         if self.indexed:
@@ -863,11 +488,12 @@ class BrokerNode(Host):
     def _sub_blocked(self, neighbour: Address, filter: Filter) -> bool:
         """Should forwarding ``filter`` toward ``neighbour`` be withheld?
 
-        Only under ``adv_pruned``, and only while no advertisement from
-        that neighbour intersects the subscription — i.e. while its
-        subtree provably produces nothing the subscription wants.
+        Under ``adv_pruned`` (the only mode that hands this predicate to
+        the subscription table): while no advertisement from that
+        neighbour intersects the subscription — i.e. while its subtree
+        provably produces nothing the subscription wants.
         """
-        return self.adv_pruned and not self._adv_intersects(neighbour, filter)
+        return not self._adv_intersects(neighbour, filter)
 
     def _covered_by_peer_advert(self, source: Address, filter: Filter) -> bool:
         """Is ``filter`` covered by another advertisement from ``source``?
@@ -892,25 +518,16 @@ class BrokerNode(Host):
         """Forward the stored subscriptions a new advertisement unblocks.
 
         Any subscription intersecting the advertisement now has a
-        producer in the neighbour's subtree; ``_forward_filter``'s
+        producer in the neighbour's subtree; the table's
         duplicate/covering suppression keeps the scan idempotent.  A
         covering advertisement already stored from the same neighbour
         means every such subscription was unblocked before — skip.
         """
         if self._covered_by_peer_advert(neighbour, advert):
             return
-        for source, subs in list(self.subs_by_source.items()):
-            if source == neighbour:
-                continue
-            for sub in list(subs):
-                if not filters_intersect(advert, sub.filter):
-                    continue
-                self._forward_filter(
-                    neighbour, sub.filter,
-                    self._sub_paths.get((source, sub.filter), ()),
-                    self.forwarded, self._fwd_posets,
-                    self._fwd_ids, self._fwd_sent, Subscribe,
-                )
+        for source, filter in self.subs.entries(exclude=neighbour):
+            if filters_intersect(advert, filter):
+                self.subs.forward(neighbour, filter, self._sub_paths[(source, filter)])
 
     def _reprune_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Retract forwarded subscriptions a withdrawn advert justified.
@@ -923,298 +540,12 @@ class BrokerNode(Host):
         """
         if self._covered_by_peer_advert(neighbour, advert):
             return
-        already = self.forwarded.get(neighbour)
-        if not already:
-            return
-        ids = self._fwd_ids.get(neighbour, {})
-        poset = self._fwd_posets.get(neighbour)
-        for filter in list(already):
+        for filter in list(self.forwarded.get(neighbour, ())):
             if not filters_intersect(advert, filter):
                 continue  # never depended on the withdrawn advertisement
             if self._adv_intersects(neighbour, filter):
                 continue  # still justified by another advertisement
-            already.remove(filter)
-            if self.indexed and filter in ids and poset is not None:
-                poset.remove(ids.pop(filter))
-            self._fwd_sent.get(neighbour, {}).pop(filter, None)
-            self._send_control(neighbour, Unsubscribe(filter))
-
-    # ------------------------------------------------------------------
-    # Indexed-fabric helpers (shared by subscriptions and advertisements)
-    # ------------------------------------------------------------------
-    def _send_control(self, neighbour: Address, payload) -> None:
-        self.control_counts[type(payload).__name__] += 1
-        self.send(neighbour, payload, size_bytes=128)
-
-    @staticmethod
-    def _drop_source(sources: dict[Filter, set[Address]], filter: Filter, source: Address) -> None:
-        members = sources.get(filter)
-        if members is not None:
-            members.discard(source)
-            if not members:
-                del sources[filter]
-
-    def _forward_filter(
-        self,
-        neighbour: Address,
-        filter: Filter,
-        path: tuple[Address, ...],
-        forwarded: dict[Address, list[Filter]],
-        posets: dict[Address, CoveringPoset],
-        ids_by_neighbour: dict[Address, dict[Filter, int]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        forward_msg,
-    ) -> None:
-        """Push ``filter`` toward a neighbour unless it is redundant there.
-
-        Under covering, a filter whose notifications the neighbour already
-        receives (some forwarded filter covers it, itself included) is
-        suppressed; with covering disabled only exact duplicates are — the
-        ablation baseline measured in benchmark A1.
-
-        ``path`` is the copy's stored source path (this broker appends
-        itself on the wire).  A neighbour on the path has necessarily
-        seen the filter, so the flood never crosses a cycle twice.  An
-        already-forwarded filter arriving again over a narrower chain is
-        re-sent with the narrowed path (the intersection of every chain
-        pushed so far), so the neighbour learns the filter no longer
-        depends on the brokers the original path crossed — without this,
-        two identical filters from different origins would collapse into
-        one path and starve redundant routes of routing state.
-        """
-        if neighbour in path:
-            return
-        already = forwarded.setdefault(neighbour, [])
-        sent = sent_paths.setdefault(neighbour, {})
-        if self.indexed:
-            poset = posets.setdefault(neighbour, CoveringPoset())
-            ids = ids_by_neighbour.setdefault(neighbour, {})
-            if filter in ids:
-                self._narrow_forwarded(neighbour, filter, path, sent, forward_msg)
-                return
-            if self.covering_enabled and poset.covers_any(filter):
-                return
-            ids[filter] = poset.add(filter)
-        else:
-            if filter in already:
-                self._narrow_forwarded(neighbour, filter, path, sent, forward_msg)
-                return
-            if self.covering_enabled and any(
-                filter_covers(existing, filter) for existing in already
-            ):
-                return
-        already.append(filter)
-        sent[filter] = frozenset(path)
-        self._send_control(neighbour, forward_msg(filter, path + (self.addr,)))
-
-    def _narrow_forwarded(
-        self,
-        neighbour: Address,
-        filter: Filter,
-        path: tuple[Address, ...],
-        sent: dict[Filter, frozenset],
-        forward_msg,
-    ) -> None:
-        """Re-send an already-forwarded filter whose path just narrowed."""
-        old = sent.get(filter)
-        new = frozenset(path) if old is None else old & frozenset(path)
-        if old is not None and new == old:
-            return
-        sent[filter] = new
-        narrowed = tuple(x for x in path if x in new)
-        self._send_control(neighbour, forward_msg(filter, narrowed + (self.addr,)))
-
-    def _retract_forwarded(
-        self,
-        neighbour: Address,
-        filter: Filter,
-        store_poset: CoveringPoset,
-        sources: dict[Filter, set[Address]],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-        forwarded: dict[Address, list[Filter]],
-        posets: dict[Address, CoveringPoset],
-        ids_by_neighbour: dict[Address, dict[Filter, int]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        retract_msg,
-        restore_msg,
-        restore_pruned: bool = False,
-    ) -> None:
-        """Withdraw ``filter`` from a neighbour and re-forward what it masked.
-
-        A stored filter can only have been suppressed (never forwarded)
-        because some forwarded filter covered it, so the candidates for
-        re-forwarding are exactly the store poset's ``covered_by`` set of
-        the withdrawn filter — a poset lookup instead of a rescan of the
-        whole store.  ``restore_pruned`` applies advertisement pruning to
-        the restores (subscription retractions only): a masked filter no
-        advertisement justifies stays parked until one arrives.
-        """
-        already = forwarded.setdefault(neighbour, [])
-        ids = ids_by_neighbour.setdefault(neighbour, {})
-        poset = posets.setdefault(neighbour, CoveringPoset())
-        if filter not in ids:
-            return
-        survivors = [src for src in sources.get(filter, ()) if src != neighbour]
-        if survivors:
-            # Still stored from elsewhere: the neighbour keeps it, but
-            # the departed copy may have been narrowing the sent path —
-            # recompute it from the surviving chains.
-            self._rewiden_forwarded(
-                neighbour, filter,
-                [paths.get((src, filter), ()) for src in survivors],
-                forwarded, sent_paths, restore_msg,
-            )
-            return
-        already.remove(filter)
-        poset.remove(ids.pop(filter))
-        sent_paths.setdefault(neighbour, {}).pop(filter, None)
-        self._send_control(neighbour, retract_msg(filter))
-        for pid in store_poset.covered_by(filter):
-            masked_source, masked = store_poset.payload(pid)
-            if masked_source == neighbour:
-                continue
-            if restore_pruned and self._sub_blocked(neighbour, masked):
-                continue
-            # Duplicate/covering/path suppression lives in
-            # _forward_filter (the duplicate check there is explicit
-            # because filter_covers is not reflexive for range
-            # constraints over strings/bools).
-            self._forward_filter(
-                neighbour, masked, paths.get((masked_source, masked), ()),
-                forwarded, posets, ids_by_neighbour, sent_paths, restore_msg,
-            )
-
-    # ------------------------------------------------------------------
-    # Advertisements
-    # ------------------------------------------------------------------
-    def _store_advertisement(
-        self,
-        source: Address,
-        filter: Filter,
-        path: tuple[Address, ...] = (),
-        path_reset: bool = False,
-    ) -> None:
-        if self.addr in path:
-            return  # a reflection of our own forwarding around a cycle
-        adverts = self.adverts_by_source.setdefault(source, [])
-        if self.indexed:
-            known = source in self._adv_sources.get(filter, ())
-        else:
-            known = filter in adverts
-        if known:
-            if path_reset:
-                if self._widen_stored(source, filter, path, self._adv_paths):
-                    self._propagate_adv_widening(filter)
-            else:
-                self._narrow_stored(
-                    source, filter, path, self._adv_paths,
-                    self._propagate_advertisement,
-                )
-            return
-        adverts.append(filter)
-        if self.indexed:
-            key = (source, filter)
-            self._adv_entry_ids[key] = self._adv_index.add(filter, payload=source)
-            self._adv_poset_ids[key] = self._adv_poset.add(filter, payload=key)
-            self._adv_in_ids[key] = self._adv_in.setdefault(
-                source, CoveringPoset()
-            ).add(filter)
-            self._adv_sources.setdefault(filter, set()).add(source)
-        self._adv_paths[(source, filter)] = path
-        self._propagate_advertisement(source, filter, path)
-        if self.rv is not None:
-            self.rv.on_advertise(source, filter)
-        if self.adv_pruned and source in self.neighbours:
-            # Deferred re-propagation: the new advertisement may unblock
-            # subscriptions previously pruned toward its source.
-            self._unblock_subscriptions(source, filter)
-
-    def _propagate_advertisement(
-        self, source: Address, filter: Filter, path: tuple[Address, ...]
-    ) -> None:
-        if self.rv is not None:
-            return  # dht mode: adverts register at their discovery root
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            self._forward_filter(
-                neighbour, filter, path, self.adverts_forwarded,
-                self._advfwd_posets, self._advfwd_ids, self._advfwd_sent,
-                Advertise,
-            )
-
-    def _remove_advertisement(self, source: Address, filter: Filter) -> None:
-        adverts = self.adverts_by_source.get(source, [])
-        removed = False
-        if filter in adverts:
-            adverts.remove(filter)
-            removed = True
-            self._adv_paths.pop((source, filter), None)
-            if self.indexed:
-                key = (source, filter)
-                if key in self._adv_entry_ids:
-                    self._adv_index.remove(self._adv_entry_ids.pop(key))
-                    self._adv_poset.remove(self._adv_poset_ids.pop(key))
-                    self._drop_source(self._adv_sources, filter, source)
-                if key in self._adv_in_ids:
-                    poset = self._adv_in[source]
-                    poset.remove(self._adv_in_ids.pop(key))
-                    if not len(poset):
-                        del self._adv_in[source]
-        if removed and self.rv is not None:
-            self.rv.on_unadvertise(source, filter)
-        if removed and self.adv_pruned and source in self.neighbours:
-            # Symmetric retraction: subscriptions only this advertisement
-            # justified are withdrawn from its source again.
-            self._reprune_subscriptions(source, filter)
-        if self.indexed:
-            for neighbour in self.neighbours:
-                if neighbour == source:
-                    continue
-                self._retract_forwarded(
-                    neighbour,
-                    filter,
-                    store_poset=self._adv_poset,
-                    sources=self._adv_sources,
-                    paths=self._adv_paths,
-                    forwarded=self.adverts_forwarded,
-                    posets=self._advfwd_posets,
-                    ids_by_neighbour=self._advfwd_ids,
-                    sent_paths=self._advfwd_sent,
-                    retract_msg=Unadvertise,
-                    restore_msg=Advertise,
-                )
-            return
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            remaining = [
-                (src, f)
-                for src, filters in self.adverts_by_source.items()
-                if src != neighbour
-                for f in filters
-            ]
-            already = self.adverts_forwarded.setdefault(neighbour, [])
-            if filter in already and not any(f == filter for _, f in remaining):
-                already.remove(filter)
-                self._advfwd_sent.get(neighbour, {}).pop(filter, None)
-                self._send_control(neighbour, Unadvertise(filter))
-                # Re-forward anything the removed advertisement was masking,
-                # mirroring _remove_subscription: without this an
-                # Unadvertise silently strips a neighbour of adverts whose
-                # producers are still live (duplicate/covering/path
-                # suppression lives in _forward_filter).
-                for src, f in remaining:
-                    self._forward_filter(
-                        neighbour, f, self._adv_paths.get((src, f), ()),
-                        self.adverts_forwarded, self._advfwd_posets,
-                        self._advfwd_ids, self._advfwd_sent, Advertise,
-                    )
-            elif filter in already:
-                self._rewiden_forwarded(
-                    neighbour, filter, self._adv_source_paths(filter, neighbour),
-                    self.adverts_forwarded, self._advfwd_sent, Advertise,
-                )
+            self.subs.withdraw(neighbour, filter)
 
     def advertisements(self) -> list[Filter]:
         """Every advertisement this broker knows about (all sources)."""
@@ -1222,9 +553,7 @@ class BrokerNode(Host):
 
     def advertised(self, notification: Notification) -> bool:
         """Would this notification fall under some known advertisement?"""
-        if self.indexed:
-            return bool(self._adv_index.match(notification))
-        return any(f.matches(notification) for f in self.advertisements())
+        return self.adverts.matches(notification)
 
     def control_state_size(self) -> int:
         """Routing-relevant control entries held by this broker.
@@ -1235,14 +564,31 @@ class BrokerNode(Host):
         dht mode counts the rendezvous engine's membership, tree, and
         registry entries plus the broker's own local filter store.
         """
-        local = sum(len(subs) for subs in self.subs_by_source.values()) + sum(
-            len(filters) for filters in self.adverts_by_source.values()
-        )
+        local = self.subs.stored_count() + self.adverts.stored_count()
         if self.rv is not None:
             return local + self.rv.state_size()
-        return local + sum(
-            len(filters) for filters in self.forwarded.values()
-        ) + sum(len(filters) for filters in self.adverts_forwarded.values())
+        return local + self.subs.forwarded_count() + self.adverts.forwarded_count()
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` if any routing table has drifted.
+
+        Both tables audit their own books (:meth:`FilterTable.check`,
+        which also holds every forwarded subscription to being unblocked
+        under ``adv_pruned``); here the per-source advertisement posets
+        are held to the advertisement store.
+        """
+        problems = [f"subs: {p}" for p in self.subs.check()]
+        problems += [f"adverts: {p}" for p in self.adverts.check()]
+        # The posets hold every stored advertisement, or (naive) none.
+        per_source = Counter(source for source, _ in self._adv_in_ids)
+        if (
+            self._adv_in_ids.keys() - self._adv_paths.keys()
+            or len(self._adv_in_ids) not in (0, len(self._adv_paths))
+            or {source: len(poset) for source, poset in self._adv_in.items()} != per_source
+        ):
+            problems.append("adverts: per-source posets out of step with the store")
+        if problems:
+            raise AssertionError(f"broker {self.addr!r}: " + "; ".join(problems))
 
     # ------------------------------------------------------------------
     # Publication
@@ -1272,10 +618,10 @@ class BrokerNode(Host):
             self._maybe_auto_advertise(source, notification)
         size = notification.size_bytes()
         if self.indexed:
-            matched = self._sub_index.match(notification)
+            matched = self.subs.index.match(notification)
             if not matched:
                 return
-            index = self._sub_index
+            index = self.subs.index
             interested = {index.payload(fid) for fid in matched}
             for dest in list(self.subs_by_source):
                 if dest == source or dest not in interested:
@@ -1343,10 +689,10 @@ class BrokerNode(Host):
             return
         per_dest: dict[Address, list] = {}
         if self.indexed:
-            matched_sets = self._sub_index.match_batch(
+            matched_sets = self.subs.index.match_batch(
                 [notification for notification, _ in survivors]
             )
-            payload = self._sub_index.payload
+            payload = self.subs.index.payload
             for (notification, pub_id), matched in zip(survivors, matched_sets):
                 if not matched:
                     continue
@@ -1449,13 +795,65 @@ class BrokerNode(Host):
             self.send(dest, PublishBatch(tuple(batch)), size_bytes=size)
 
     # ------------------------------------------------------------------
-    # Mobility (Mobikit §3: static proxies for mobile entities)
+    # Message handlers: ``type(payload)`` -> one of these (see __init__)
     # ------------------------------------------------------------------
-    def _handle_move_out(self, client: Address) -> None:
+    def _on_subscribe(self, src: Address, msg: Subscribe) -> None:
+        self._store_subscription(src, msg.filter, msg.path, msg.path_reset)
+
+    def _on_unsubscribe(self, src: Address, msg: Unsubscribe) -> None:
+        self._remove_subscription(src, msg.filter)
+
+    def _on_advertise(self, src: Address, msg: Advertise) -> None:
+        self._store_advertisement(src, msg.filter, msg.path, msg.path_reset)
+
+    def _on_unadvertise(self, src: Address, msg: Unadvertise) -> None:
+        self._remove_advertisement(src, msg.filter)
+
+    def _on_publish(self, src: Address, msg: Publish) -> None:
+        self.inject_publication(src, msg.notification, msg.pub_id)
+
+    def _on_publish_batch(self, src: Address, msg: PublishBatch) -> None:
+        if self.rv is not None:
+            # dht mode: unbundle through the rendezvous entry point —
+            # each publication keys its own tree.
+            for notification, pub_id in msg.items:
+                self.inject_publication(src, notification, pub_id)
+        elif self.batched:
+            self._process_publication_batch(src, msg.items)
+        else:
+            # Unbundle: a batch is just its publications in order.
+            for notification, pub_id in msg.items:
+                self._process_publication(src, notification, pub_id)
+
+    def _on_heartbeat(self, src: Address, msg: Heartbeat) -> None:
+        if self.failure_detector is not None:
+            self.failure_detector.on_heartbeat(src, msg)
+
+    def _on_resync(self, src: Address, msg: Resync) -> None:
+        """The neighbour reset our link and is about to replay its state.
+
+        Everything this link previously told us is stale on both
+        directions: the inbound entries it may have retracted during the
+        outage (those Unsubscribe/Unadvertise messages died with the
+        link) are withdrawn, and the outbound bookkeeping claiming it
+        still holds our filters is cleared before the full re-push.  The
+        sender's replay follows this message on the same FIFO link, so
+        its live state is restored immediately after.  Ignored when we
+        do not consider ``src`` a neighbour (our own detector dropped
+        the link, taking all of this state with it, and will resync when
+        it notices the revival itself).
+        """
+        if src not in self.neighbours:
+            return
+        self._forget_neighbour(src)
+        self._reset_and_sync(src)
+
+    # Mobility (Mobikit §3: static proxies for mobile entities)
+    def _on_move_out(self, client: Address, msg: MoveOut) -> None:
         if client in self.client_addrs:
             self.proxies.setdefault(client, [])
 
-    def _handle_move_in(self, msg: MoveIn) -> None:
+    def _on_move_in(self, src: Address, msg: MoveIn) -> None:
         self.attach_client(msg.client)
         for filter in msg.filters:
             self._store_subscription(msg.client, filter)
@@ -1464,11 +862,9 @@ class BrokerNode(Host):
         elif msg.client in self.proxies:
             self._flush_proxy(msg.client)
 
-    def _handle_transfer_request(self, msg: TransferRequest) -> None:
+    def _on_transfer_request(self, src: Address, msg: TransferRequest) -> None:
         buffered = tuple(self.proxies.pop(msg.client, ()))
-        filters = tuple(
-            s.filter for s in self.subs_by_source.get(msg.client, [])
-        )
+        filters = tuple(self.subs.filters_from(msg.client))
         self.client_addrs.discard(msg.client)
         for filter in filters:
             self._remove_subscription(msg.client, filter)
@@ -1478,7 +874,7 @@ class BrokerNode(Host):
         recipient = msg.successor if msg.successor is not None else msg.client
         self.send(msg.new_broker, Transfer(recipient, buffered, filters), size_bytes=512)
 
-    def _handle_transfer(self, msg: Transfer) -> None:
+    def _on_transfer(self, src: Address, msg: Transfer) -> None:
         # Defensive re-registration: the Transfer is self-contained, so
         # the handover holds even if the MoveIn carried a stale filter
         # list (registering an already-known filter is a no-op).  Only
@@ -1502,85 +898,11 @@ class BrokerNode(Host):
             self.notifications_delivered += 1
             self.send(client, Notify(notification), size_bytes=notification.size_bytes())
 
-    def _reset_and_sync(self, neighbour: Address) -> None:
-        """Clear the per-link forwarding bookkeeping and re-push everything.
-
-        Used when the far side dropped its half of a link we kept: our
-        records of what it holds are stale and would suppress the
-        re-push, so they are discarded before the full state sync.
-        """
-        for per_link in (
-            self.forwarded, self._fwd_posets, self._fwd_ids, self._fwd_sent,
-            self.adverts_forwarded, self._advfwd_posets, self._advfwd_ids,
-            self._advfwd_sent,
-        ):
-            per_link.pop(neighbour, None)
-        self.forwarded.setdefault(neighbour, [])
-        self._sync_new_neighbour(neighbour)
-
-    def _handle_resync(self, src: Address) -> None:
-        """The neighbour reset our link and is about to replay its state.
-
-        Everything this link previously told us is stale on both
-        directions: the inbound entries it may have retracted during the
-        outage (those Unsubscribe/Unadvertise messages died with the
-        link) are withdrawn, and the outbound bookkeeping claiming it
-        still holds our filters is cleared before the full re-push.  The
-        sender's replay follows this message on the same FIFO link, so
-        its live state is restored immediately after.  Ignored when we
-        do not consider ``src`` a neighbour (our own detector dropped
-        the link, taking all of this state with it, and will resync when
-        it notices the revival itself).
-        """
-        if src not in self.neighbours:
-            return
-        self._forget_neighbour(src)
-        self._reset_and_sync(src)
-
-    # ------------------------------------------------------------------
     def handle_message(self, src: Address, payload) -> None:
-        if isinstance(payload, Subscribe):
-            self._store_subscription(
-                src, payload.filter, payload.path, payload.path_reset
-            )
-        elif isinstance(payload, Unsubscribe):
-            self._remove_subscription(src, payload.filter)
-        elif isinstance(payload, Advertise):
-            self._store_advertisement(
-                src, payload.filter, payload.path, payload.path_reset
-            )
-        elif isinstance(payload, Unadvertise):
-            self._remove_advertisement(src, payload.filter)
-        elif isinstance(payload, Publish):
-            self.inject_publication(src, payload.notification, payload.pub_id)
-        elif isinstance(payload, PublishBatch):
-            if self.rv is not None:
-                # dht mode: unbundle through the rendezvous entry point —
-                # each publication keys its own tree.
-                for notification, pub_id in payload.items:
-                    self.inject_publication(src, notification, pub_id)
-            elif self.batched:
-                self._process_publication_batch(src, payload.items)
-            else:
-                # Unbundle: a batch is just its publications in order.
-                for notification, pub_id in payload.items:
-                    self._process_publication(src, notification, pub_id)
-        elif isinstance(payload, Heartbeat):
-            if self.failure_detector is not None:
-                self.failure_detector.on_heartbeat(src, payload)
-        elif isinstance(payload, Resync):
-            self._handle_resync(src)
-        elif isinstance(payload, MoveOut):
-            self._handle_move_out(src)
-        elif isinstance(payload, MoveIn):
-            self._handle_move_in(payload)
-        elif isinstance(payload, TransferRequest):
-            self._handle_transfer_request(payload)
-        elif isinstance(payload, Transfer):
-            self._handle_transfer(payload)
-        elif self.rv is not None and self.rv.handle(src, payload):
-            pass
-        else:
+        handler = self._handlers.get(type(payload))
+        if handler is not None:
+            handler(src, payload)
+        elif self.rv is None or not self.rv.handle(src, payload):
             raise TypeError(f"unknown broker message: {payload!r}")
 
 
@@ -1784,22 +1106,16 @@ def build_broker_tree(
     network: Network,
     count: int,
     branching: int = 3,
-    covering_enabled: bool = True,
-    indexed: bool = True,
-    adv_pruned: bool = False,
-    batched: bool = False,
-    advert_on_first_publish: bool = False,
-    seen_ttl: float = 30.0,
     heartbeat: "HeartbeatConfig | None" = None,
-    routing: str = "flood",
-    rv_refresh: float = 1.0,
-    shards: int = 1,
+    **broker_options,
 ) -> list[BrokerNode]:
     """A tree-shaped (hence acyclic) broker overlay spread across regions.
 
     Passing a :class:`~repro.events.failure.HeartbeatConfig` as
     ``heartbeat`` attaches a failure detector to every broker, making
-    the overlay self-healing out of the box.
+    the overlay self-healing out of the box.  ``broker_options`` pass
+    through to every :class:`BrokerNode` — see its docstring for what
+    each ablates and its default.
     """
     rng = sim.rng_for("broker-build")
     brokers = [
@@ -1807,15 +1123,7 @@ def build_broker_tree(
             sim,
             network,
             WORLD_REGIONS[i % len(WORLD_REGIONS)].random_position(rng),
-            covering_enabled=covering_enabled,
-            indexed=indexed,
-            adv_pruned=adv_pruned,
-            batched=batched,
-            advert_on_first_publish=advert_on_first_publish,
-            seen_ttl=seen_ttl,
-            routing=routing,
-            rv_refresh=rv_refresh,
-            shards=shards,
+            **broker_options,
         )
         for i in range(count)
     ]
@@ -1833,18 +1141,10 @@ def build_broker_mesh(
     count: int,
     branching: int = 3,
     extra_links: int = 2,
-    covering_enabled: bool = True,
-    indexed: bool = True,
-    adv_pruned: bool = False,
-    batched: bool = False,
-    advert_on_first_publish: bool = False,
-    seen_ttl: float = 30.0,
     heartbeat: "HeartbeatConfig | None" = None,
     placement: str = "latency",
     stretch_bound: float = 3.0,
-    routing: str = "flood",
-    rv_refresh: float = 1.0,
-    shards: int = 1,
+    **broker_options,
 ) -> list[BrokerNode]:
     """A broker mesh: the :func:`build_broker_tree` overlay plus
     ``extra_links`` redundant links between non-adjacent brokers.
@@ -1866,30 +1166,12 @@ def build_broker_mesh(
       prices the planner against.
 
     ``branching`` (default 3) shapes the underlying tree and
-    ``extra_links`` (default 2) counts the chords; passing a
-    :class:`~repro.events.failure.HeartbeatConfig` as ``heartbeat``
-    attaches a failure detector to every broker, making the mesh
-    self-healing.  The remaining keywords (``covering_enabled``,
-    ``indexed``, ``adv_pruned``, ``batched``, ``advert_on_first_publish``,
-    ``seen_ttl``, ``routing``, ``rv_refresh``, ``shards``) pass through
-    to every :class:`BrokerNode` — see its docstring for what each
-    ablates and its default.
+    ``extra_links`` (default 2) counts the chords; ``heartbeat`` and
+    ``broker_options`` are :func:`build_broker_tree`'s.
     """
     brokers = build_broker_tree(
-        sim,
-        network,
-        count,
-        branching=branching,
-        covering_enabled=covering_enabled,
-        indexed=indexed,
-        adv_pruned=adv_pruned,
-        batched=batched,
-        advert_on_first_publish=advert_on_first_publish,
-        seen_ttl=seen_ttl,
-        heartbeat=heartbeat,
-        routing=routing,
-        rv_refresh=rv_refresh,
-        shards=shards,
+        sim, network, count, branching=branching, heartbeat=heartbeat,
+        **broker_options,
     )
     if placement == "latency":
         tree_edges = [(index, (index - 1) // branching) for index in range(1, count)]
@@ -1924,7 +1206,6 @@ def build_dht_fleet(
     count: int,
     indexed: bool = True,
     seen_ttl: float = 30.0,
-    rv_refresh: float = 1.0,
     prefix_depth: int = 8,
 ) -> list[BrokerNode]:
     """A converged ``routing="dht"`` fleet built from global knowledge.
@@ -1940,9 +1221,7 @@ def build_dht_fleet(
 
     Knobs: ``indexed`` (default ``True``) selects the predicate-indexed
     matching fabric as on :class:`BrokerNode`; ``seen_ttl`` (default
-    ``30.0`` s) bounds the per-origin dedup floor; ``rv_refresh``
-    (default ``1.0`` s) is the rendezvous soft-state refresh period —
-    lower heals faster, higher sends less control traffic;
+    ``30.0`` s) bounds the per-origin dedup floor;
     ``prefix_depth`` (default ``8``) caps the prefix-table rows built
     per broker, trading routing-table size against hop count at the
     bench's fleet sizes.  Use this builder for scale measurements
@@ -1959,7 +1238,6 @@ def build_dht_fleet(
             indexed=indexed,
             seen_ttl=seen_ttl,
             routing="dht",
-            rv_refresh=rv_refresh,
         )
         for i in range(count)
     ]

@@ -17,14 +17,9 @@ subscription survives even a stale or empty MoveIn list.
 
 from __future__ import annotations
 
-from repro.events.broker import (
-    BrokerNode,
-    MoveIn,
-    MoveOut,
-    SienaClient,
-    TransferRequest,
-)
+from repro.events.broker import BrokerNode, SienaClient
 from repro.events.model import Notification
+from repro.events.wire import MoveIn, MoveOut, TransferRequest
 from repro.net.network import Address
 
 
@@ -59,9 +54,6 @@ class MobileClient(SienaClient):
             MoveIn(self.addr, old_broker, tuple(self.filters)),
             size_bytes=256,
         )
-
-    def handle_message(self, src: Address, payload) -> None:
-        super().handle_message(src, payload)
 
 
 class ServiceInbox:

@@ -84,6 +84,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # runs on inconsistent views.
 RV_HOP_LIMIT = 32
 
+# Soft-state refresh period (seconds): paces tree re-join and advert
+# re-registration.  Lower heals partitions and crashed roots faster,
+# higher cuts steady-state control traffic.  A tree child not re-joined
+# within CHILD_TTL has left.
+REFRESH_INTERVAL = 1.0
+CHILD_TTL = 3.5 * REFRESH_INTERVAL
+
 
 # ----------------------------------------------------------------------
 # Key derivation
@@ -260,23 +267,14 @@ class RendezvousEngine:
     advertisements register at the key's root, publications route
     point-to-point toward the root and fan down the tree.
 
-    Knobs: ``leaf_size`` (default ``8``) is the Pastry leaf-set radius —
+    Knob: ``leaf_size`` (default ``8``) is the Pastry leaf-set radius —
     larger tolerates more simultaneous adjacent failures at more state
-    per broker; ``refresh_interval`` (default ``1.0`` s, surfaced as
-    ``rv_refresh`` on the broker) paces tree re-join / advert
-    re-registration and sets the child expiry ``child_ttl`` to 3.5×
-    itself — lower heals partitions and crashed roots faster, higher
-    cuts steady-state control traffic.  The flooding ablation is simply
-    ``routing="flood"`` on the broker; E5's ``dht_scale`` phase prices
-    the two against each other.
+    per broker.  The flooding ablation is simply ``routing="flood"`` on
+    the broker; E5's ``dht_scale`` phase prices the two against each
+    other.
     """
 
-    def __init__(
-        self,
-        broker: "BrokerNode",
-        leaf_size: int = 8,
-        refresh_interval: float = 1.0,
-    ):
+    def __init__(self, broker: "BrokerNode", leaf_size: int = 8):
         self.broker = broker
         self.sim = broker.sim
         self.network = broker.network
@@ -305,17 +303,13 @@ class RendezvousEngine:
         self._mcast_seen: dict[Guid, OriginFloorCache] = {}
         self._announce_seq = 0
         self._announce_floor: dict[Address, int] = {}
-        self.refresh_interval = refresh_interval
-        self.child_ttl = 3.5 * refresh_interval
         # Delivery-path telemetry for the scale benchmark.
         self.delivery_hops_sum = 0
         self.delivery_hops_count = 0
         self.joins_sent = 0
         self.publications_routed = 0
         broker.on_recover_hooks.append(self._on_recover)
-        self._refresh = PeriodicTask(
-            self.sim, refresh_interval, self._refresh_tick
-        )
+        self._refresh = PeriodicTask(self.sim, REFRESH_INTERVAL, self._refresh_tick)
 
     # ------------------------------------------------------------------
     # Membership
@@ -616,7 +610,7 @@ class RendezvousEngine:
         now = self.sim.now
         for key, state in list(self.trees.items()):
             for child, stamp in list(state.children.items()):
-                if now - stamp > self.child_ttl or not self._is_live(child):
+                if now - stamp > CHILD_TTL or not self._is_live(child):
                     del state.children[child]
             if not state.children:
                 del self.trees[key]

@@ -48,7 +48,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
-from repro.events.broker import (
+from repro.events.wire import (
     NotifyBatch,
     Publish,
     PublishBatch,

@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.events.broker import (
+from repro.events.wire import (
     Advertise,
     Notify,
     NotifyBatch,

@@ -3,12 +3,13 @@
 
 Three invariants, each cheap to check from file contents alone:
 
-1. Every routing mode accepted by ``BrokerNode`` (parsed from the
-   validation tuple in ``src/repro/events/broker.py``) and every
-   matching mode named in the equivalence suites' ``MODES`` table is
-   mentioned in ``docs/ARCHITECTURE.md``.
-2. Every ``benchmarks/bench_*.py`` and every committed
-   ``benchmarks/BENCH_*.json`` baseline is mentioned in
+1. Every routing mode accepted by ``BrokerNode`` (the ``ROUTING_MODES``
+   tuple, whichever module under ``src/repro/events/`` holds it) and
+   every matching mode named in the equivalence suites' ``MODES`` table
+   is mentioned in ``docs/ARCHITECTURE.md``.
+2. Every ``benchmarks/bench_*.py``, every committed
+   ``benchmarks/BENCH_*.json`` baseline, and every workload and
+   end-to-end metric named in ``BENCHMARK.json`` is mentioned in
    ``docs/BENCHMARKS.md``.
 3. ``README.md`` links both documents.
 
@@ -19,6 +20,7 @@ without documenting it fails CI.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -28,11 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def routing_modes() -> list[str]:
     """The modes BrokerNode validates against, straight from the source."""
-    source = (ROOT / "src/repro/events/broker.py").read_text()
-    match = re.search(r"if routing not in \(([^)]*)\)", source)
-    if not match:
-        sys.exit("check_docs: cannot find the routing validation tuple in broker.py")
-    return re.findall(r'"(\w+)"', match.group(1))
+    for path in sorted((ROOT / "src/repro/events").glob("*.py")):
+        match = re.search(r"^ROUTING_MODES = \(([^)]*)\)", path.read_text(), re.M)
+        if match:
+            return re.findall(r'"(\w+)"', match.group(1))
+    sys.exit("check_docs: no ROUTING_MODES tuple under src/repro/events/")
 
 
 def equivalence_modes() -> list[str]:
@@ -70,6 +72,15 @@ def main() -> int:
             if path.name not in benchmarks_doc:
                 problems.append(
                     f"docs/BENCHMARKS.md does not mention {path.name}"
+                )
+
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for kind, key in (("workload", "workloads"), ("end-to-end metric", "end_to_end")):
+        for entry in contract[key]:
+            if f"`{entry['name']}`" not in benchmarks_doc:
+                problems.append(
+                    f"docs/BENCHMARKS.md does not mention {kind} `{entry['name']}` "
+                    "of BENCHMARK.json"
                 )
 
     for target in ("docs/ARCHITECTURE.md", "docs/BENCHMARKS.md"):
