@@ -154,9 +154,10 @@ class BrokerNode(Host):
       unadvertised traffic is only guaranteed local delivery (see
       ``advert_on_first_publish``).
     ``batched`` (default ``False``) — the PublishBatch fast path:
-      inbound bursts share one ``match_batch`` sweep and forward as
-      per-destination batches (benchmark E13's batch rows).  Off, bursts
-      unbundle through the one-at-a-time path, identically.
+      an inbound burst is routed as one batch (one ``match_batch``
+      sweep) and leaves as one batch per destination (benchmark E13's
+      batch rows).  Off, a burst is routed item by item — the same
+      accept → route → deliver path with batches of one, identically.
     ``advert_on_first_publish`` (default ``False``) — legacy-producer
       escape hatch under ``adv_pruned``: synthesise an advertisement
       from the first unadvertised publication's shape.
@@ -214,11 +215,9 @@ class BrokerNode(Host):
         # membership gossip and heartbeats, while subscriptions stay
         # local and publications travel point-to-point along the DHT.
         self.routing = routing
-        # Batched publication fast path: inbound PublishBatch bursts are
-        # matched through PredicateIndex.match_batch and forwarded as
-        # per-destination batches.  Off, a batch is unbundled and walked
-        # through the one-at-a-time path — deliveries are identical
-        # either way (the batch-equivalence suite pins this).
+        # Read only by _accept: whether an inbound PublishBatch is routed
+        # (and forwarded) whole or item by item — deliveries are
+        # identical either way (the batch-equivalence suite pins this).
         self.batched = batched
         # Legacy-producer escape hatch for advertisement pruning: when a
         # directly-attached client publishes without ever advertising,
@@ -593,47 +592,85 @@ class BrokerNode(Host):
     # ------------------------------------------------------------------
     # Publication
     # ------------------------------------------------------------------
-    def _process_publication(
+    def inject_publication(
         self,
-        source: Address,
+        source: Address | None,
         notification: Notification,
         pub_id: tuple[Address, int] | None = None,
     ) -> None:
-        """Route one publication: first copy wins, the rest are dropped.
+        """Entry point for first-hop traffic (clients, local producers)."""
+        self._accept(source, ((notification, pub_id),), False)
 
-        An untagged publication (legacy producers sending bare
-        ``Publish``) is stamped here, so every copy this broker forwards
-        is recognisable if a cycle routes it back.
+    def _accept(self, source: Address | None, items: tuple | list, batch: bool) -> None:
+        """Take in ``(notification, pub_id)`` pairs arriving from ``source``.
+
+        A lone publication is a batch of one with ``batch`` false.  This
+        is the only place the publication path reads the routing mode
+        and the ``batched`` knob:
+
+        * flood, a batch inbound under ``batched`` — one :meth:`_route`
+          for the whole burst;
+        * flood, otherwise — one :meth:`_route` per item (a batch is just
+          its publications in order);
+        * dht — per item, the local :meth:`_route` step runs first, so
+          attached subscribers hear without a round trip, then the
+          rendezvous engine routes a copy toward each key's root for
+          tree multicast (``OriginFloorCache`` collapses any echo).
         """
-        if pub_id is None:
-            pub_id = (self.addr, self._pub_seq)
-            self._pub_seq += 1
-        if self.pub_dedup.seen(pub_id, self.sim.now):
-            self.duplicates_suppressed += 1
-            return
-        self.notifications_processed += 1
-        if self.metrics is not None:
-            self.metrics.observe(notification)
-        if self.advert_on_first_publish:
-            self._maybe_auto_advertise(source, notification)
-        size = notification.size_bytes()
-        if self.indexed:
-            matched = self.subs.index.match(notification)
-            if not matched:
-                return
-            index = self.subs.index
-            interested = {index.payload(fid) for fid in matched}
-            for dest in list(self.subs_by_source):
-                if dest == source or dest not in interested:
-                    continue
-                self._deliver(dest, notification, size, pub_id)
-            return
-        for dest, subs in list(self.subs_by_source.items()):
-            if dest == source:
+        if self.rv is not None:
+            for notification, pub_id in items:
+                if pub_id is None:
+                    pub_id = self._next_pub_id()
+                self._route(source, ((notification, pub_id),), False)
+                self.rv.publish(notification, pub_id)
+        elif batch and self.batched:
+            self._route(source, items, True)
+        else:
+            for item in items:
+                self._route(source, (item,), False)
+
+    def _next_pub_id(self) -> tuple[Address, int]:
+        """The stamp for an untagged publication (a legacy producer's
+        bare ``Publish``, the broker's own digests), so every copy this
+        broker forwards is recognisable if a cycle routes it back."""
+        pub_id = (self.addr, self._pub_seq)
+        self._pub_seq += 1
+        return pub_id
+
+    def _route(self, source: Address | None, items: tuple | list, batch: bool) -> None:
+        """Admit each publication, ask the table once, deliver per destination.
+
+        Admission runs per item in order — first copy wins, the rest are
+        dropped — and reads only per-publication state, so its outcome
+        cannot depend on how the items were grouped.  The admitted items
+        share one :meth:`FilterTable.interested` query, and every
+        destination gets its matched subset in publish order; ``batch``
+        only picks the wire form (:meth:`_deliver`).
+        """
+        admitted: list[tuple[Notification, tuple[Address, int]]] = []
+        for notification, pub_id in items:
+            if pub_id is None:
+                pub_id = self._next_pub_id()
+            if self.pub_dedup.seen(pub_id, self.sim.now):
+                self.duplicates_suppressed += 1
                 continue
-            if not any(s.filter.matches(notification) for s in subs):
-                continue
-            self._deliver(dest, notification, size, pub_id)
+            self.notifications_processed += 1
+            if self.metrics is not None:
+                self.metrics.observe(notification)
+            if self.advert_on_first_publish:
+                self._maybe_auto_advertise(source, notification)
+            admitted.append((notification, pub_id))
+        if not admitted:
+            return
+        interested = self.subs.interested(
+            [notification for notification, _ in admitted], exclude=source
+        )
+        per_dest: dict[Address, list] = {}
+        for item, dests in zip(admitted, interested):
+            for dest in dests:
+                per_dest.setdefault(dest, []).append(item)
+        for dest, group in per_dest.items():
+            self._deliver(dest, group, batch)
 
     def _maybe_auto_advertise(self, source: Address, notification: Notification) -> None:
         """Synthesise an advertisement for a non-advertising local producer.
@@ -657,142 +694,40 @@ class BrokerNode(Host):
         self._auto_adverts.add(key)
         self._store_advertisement(source, advert)
 
-    def _process_publication_batch(
-        self,
-        source: Address,
-        items: tuple | list,
-    ) -> None:
-        """Route a burst of publications through one index traversal.
+    def _deliver(self, dest: Address, items: list, batch: bool) -> None:
+        """Hand one destination its publish-ordered ``items``.
 
-        Dedup, counters and the auto-advertise hook run per item in
-        batch order — their outcomes cannot depend on batching because
-        each decision reads only per-publication state.  The survivors
-        share one :meth:`PredicateIndex.match_batch` sweep, and each
-        destination receives its matched subset as a single batch, in
-        publish order.
-        """
-        survivors: list[tuple[Notification, tuple[Address, int]]] = []
-        for notification, pub_id in items:
-            if pub_id is None:
-                pub_id = (self.addr, self._pub_seq)
-                self._pub_seq += 1
-            if self.pub_dedup.seen(pub_id, self.sim.now):
-                self.duplicates_suppressed += 1
-                continue
-            self.notifications_processed += 1
-            if self.metrics is not None:
-                self.metrics.observe(notification)
-            if self.advert_on_first_publish:
-                self._maybe_auto_advertise(source, notification)
-            survivors.append((notification, pub_id))
-        if not survivors:
-            return
-        per_dest: dict[Address, list] = {}
-        if self.indexed:
-            matched_sets = self.subs.index.match_batch(
-                [notification for notification, _ in survivors]
-            )
-            payload = self.subs.index.payload
-            for (notification, pub_id), matched in zip(survivors, matched_sets):
-                if not matched:
-                    continue
-                interested = {payload(fid) for fid in matched}
-                for dest in list(self.subs_by_source):
-                    if dest == source or dest not in interested:
-                        continue
-                    per_dest.setdefault(dest, []).append((notification, pub_id))
-        else:
-            for notification, pub_id in survivors:
-                for dest, subs in list(self.subs_by_source.items()):
-                    if dest == source:
-                        continue
-                    if not any(s.filter.matches(notification) for s in subs):
-                        continue
-                    per_dest.setdefault(dest, []).append((notification, pub_id))
-        for dest, batch in per_dest.items():
-            self._deliver_batch(dest, batch)
-
-    def publish_batch(
-        self,
-        notifications: list,
-        source: Address | None = None,
-    ) -> None:
-        """Inject a burst of locally-originated publications.
-
-        Each notification is stamped with a fresh ``pub_id`` exactly as
-        the single-publication path would; with ``batched`` off the
-        burst is unbundled through the one-at-a-time path instead.
-        """
-        items = [(notification, None) for notification in notifications]
-        if self.rv is not None:
-            for notification, pub_id in items:
-                self.inject_publication(source, notification, pub_id)
-            return
-        if self.batched:
-            self._process_publication_batch(source, items)
-        else:
-            for notification, pub_id in items:
-                self._process_publication(source, notification, pub_id)
-
-    def inject_publication(
-        self,
-        source: Address | None,
-        notification: Notification,
-        pub_id: tuple[Address, int] | None = None,
-    ) -> None:
-        """Entry point for first-hop traffic (clients, local producers).
-
-        Flood modes process in place — matching and neighbour forwarding
-        are one step.  In dht mode the publication is *also* handed to
-        the rendezvous engine, which routes a copy toward each key's
-        root for tree multicast; the local processing step still runs
-        first so attached subscribers hear about it without a round
-        trip, with ``OriginFloorCache`` dedup collapsing any echo.
-        """
-        if self.rv is None:
-            self._process_publication(source, notification, pub_id)
-            return
-        if pub_id is None:
-            pub_id = (self.addr, self._pub_seq)
-            self._pub_seq += 1
-        self._process_publication(source, notification, pub_id)
-        self.rv.publish(notification, pub_id)
-
-    def _deliver(
-        self,
-        dest: Address,
-        notification: Notification,
-        size: int,
-        pub_id: tuple[Address, int] | None = None,
-    ) -> None:
-        if dest in self.proxies:
-            self.proxies[dest].append(notification)  # buffer for the mobile client
-        elif dest in self.client_addrs:
-            self.notifications_delivered += 1
-            self.send(dest, Notify(notification), size_bytes=size)
-        elif dest in self.neighbours:
-            self.send(dest, Publish(notification, pub_id), size_bytes=size)
-
-    def _deliver_batch(self, dest: Address, batch: list) -> None:
-        """Deliver a publish-ordered batch to one destination.
-
-        Clients get one :class:`NotifyBatch`, neighbours one
-        :class:`PublishBatch` (pub_ids intact for their dedup), proxies
-        buffer in order — mirroring :meth:`_deliver` case for case.
+        Proxies buffer.  Clients and neighbours get one :class:`Notify` /
+        :class:`Publish` per item (pub_ids intact for the next hop's
+        dedup) — or, when the items came in as a batch under ``batched``,
+        a single :class:`NotifyBatch` / :class:`PublishBatch`, even with
+        one survivor.
         """
         if dest in self.proxies:
-            self.proxies[dest].extend(notification for notification, _ in batch)
+            self.proxies[dest].extend(notification for notification, _ in items)
         elif dest in self.client_addrs:
-            self.notifications_delivered += len(batch)
-            size = sum(notification.size_bytes() for notification, _ in batch)
-            self.send(
-                dest,
-                NotifyBatch(tuple(notification for notification, _ in batch)),
-                size_bytes=size,
-            )
+            self.notifications_delivered += len(items)
+            if batch:
+                self.send(
+                    dest,
+                    NotifyBatch(tuple(notification for notification, _ in items)),
+                    size_bytes=sum(notification.size_bytes() for notification, _ in items),
+                )
+            else:
+                for notification, _ in items:
+                    self.send(dest, Notify(notification), size_bytes=notification.size_bytes())
         elif dest in self.neighbours:
-            size = sum(notification.size_bytes() for notification, _ in batch)
-            self.send(dest, PublishBatch(tuple(batch)), size_bytes=size)
+            if batch:
+                self.send(
+                    dest,
+                    PublishBatch(tuple(items)),
+                    size_bytes=sum(notification.size_bytes() for notification, _ in items),
+                )
+            else:
+                for notification, pub_id in items:
+                    self.send(
+                        dest, Publish(notification, pub_id), size_bytes=notification.size_bytes()
+                    )
 
     # ------------------------------------------------------------------
     # Message handlers: ``type(payload)`` -> one of these (see __init__)
@@ -810,20 +745,10 @@ class BrokerNode(Host):
         self._remove_advertisement(src, msg.filter)
 
     def _on_publish(self, src: Address, msg: Publish) -> None:
-        self.inject_publication(src, msg.notification, msg.pub_id)
+        self._accept(src, ((msg.notification, msg.pub_id),), False)
 
     def _on_publish_batch(self, src: Address, msg: PublishBatch) -> None:
-        if self.rv is not None:
-            # dht mode: unbundle through the rendezvous entry point —
-            # each publication keys its own tree.
-            for notification, pub_id in msg.items:
-                self.inject_publication(src, notification, pub_id)
-        elif self.batched:
-            self._process_publication_batch(src, msg.items)
-        else:
-            # Unbundle: a batch is just its publications in order.
-            for notification, pub_id in msg.items:
-                self._process_publication(src, notification, pub_id)
+        self._accept(src, msg.items, True)
 
     def _on_heartbeat(self, src: Address, msg: Heartbeat) -> None:
         if self.failure_detector is not None:

@@ -5,14 +5,17 @@ Every subscription and every publication flows through one server, which
 matches every notification against every client's filters — experiment E4
 measures that central load against the Siena broker network.
 
-The server dispatches through the counting
+The server keeps its subscriptions in the same link-less
+:class:`~repro.events.table.FilterTable` a broker uses and asks it who is
+interested — through the counting
 :class:`~repro.events.index.PredicateIndex` by default; ``indexed=False``
-restores the seed's linear scan over every client's filter list.
-``match_operations`` stays meaningful under both: it counts the filters
-scanned on the naive path and the candidate predicates the index
-examined on the indexed path — the quantity E4 compares is "how much
-matching work the central server does", and both figures are exactly
-that for their dispatch strategy.
+restores the seed's linear scan over every client's filter list.  A
+publication is a batch of one: single and batched publishes share one
+match-and-deliver method.  ``match_operations`` stays meaningful under
+both strategies: it counts the filters scanned on the naive path and the
+candidates the index collected on the indexed path — the quantity E4
+compares is "how much matching work the central server does", and both
+figures are exactly that for their dispatch strategy.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.events.filters import Filter, Op
-from repro.events.index import PredicateIndex
 from repro.events.model import Notification
 from repro.events.rendezvous import canonical_subject
+from repro.events.table import FilterTable
 from repro.net.geo import Position
 from repro.net.host import Host
 from repro.net.network import Address, Network
@@ -110,12 +113,19 @@ class ElvinServer(Host):
     ):
         super().__init__(sim, network, position)
         self.indexed = indexed
-        # Batched fast path: ElvinPublishBatch bursts share one
-        # PredicateIndex.match_batch sweep and clients receive one
-        # ElvinNotifyBatch each.  Off (or unindexed), bursts unbundle
-        # through the one-at-a-time path with identical deliveries.
+        # Batched fast path: an ElvinPublishBatch burst is matched in one
+        # table query and each client receives one ElvinNotifyBatch.
+        # Off, bursts unbundle through the one-at-a-time path with
+        # identical deliveries.
         self.batched = batched
-        self.subscriptions: dict[Address, list[Filter]] = {}
+        # The one filter store, link-less (the server has no neighbours
+        # to forward to): by-source filter lists plus the counting index
+        # behind :meth:`FilterTable.interested`.
+        self.table = FilterTable(
+            self.addr, frozenset(), self.send, ElvinSubscribe, ElvinUnsubscribe,
+            indexed=indexed, covering_enabled=False,
+        )
+        self.subscriptions: dict[Address, list[Filter]] = self.table.by_source
         self.notifications_processed = 0
         self.notifications_delivered = 0
         self.match_operations = 0
@@ -125,9 +135,6 @@ class ElvinServer(Host):
         self._quenchers: set[Address] = set()
         self._last_quench: ElvinQuench | None = None
         self.quench_pushes = 0
-        if indexed:
-            self._index = PredicateIndex()
-            self._entry_ids: dict[tuple[Address, Filter], int] = {}
 
     def _quench_snapshot(self) -> ElvinQuench:
         """The current suppression snapshot over all subscriptions.
@@ -164,86 +171,53 @@ class ElvinServer(Host):
         for client in self._quenchers:
             self.send(client, snapshot, size_bytes=64 + 16 * len(snapshot.types))
 
-    def _subscribe(self, src: Address, filter: Filter) -> None:
-        filters = self.subscriptions.setdefault(src, [])
-        if filter in filters:
-            # Identical re-subscribe: registering it twice would only
-            # inflate the central matching load, never change delivery.
-            return
-        filters.append(filter)
-        if self.indexed:
-            self._entry_ids[(src, filter)] = self._index.add(filter, payload=src)
+    def _publish(self, notifications: tuple | list, batch: bool) -> None:
+        """Match ``notifications`` in one table query and deliver them.
 
-    def _unsubscribe(self, src: Address, filter: Filter) -> None:
-        filters = self.subscriptions.get(src, [])
-        if filter in filters:
-            filters.remove(filter)
-            if self.indexed:
-                self._index.remove(self._entry_ids.pop((src, filter)))
-
-    def _publish(self, notification: Notification) -> None:
-        self.notifications_processed += 1
-        size = notification.size_bytes()
-        if self.indexed:
-            ops_before = self._index.ops
-            matched = self._index.match(notification)
-            self.match_operations += self._index.ops - ops_before
-            interested = {self._index.payload(fid) for fid in matched}
-            for client in self.subscriptions:
-                if client in interested:
-                    self.notifications_delivered += 1
-                    self.send(client, ElvinNotify(notification), size_bytes=size)
-            return
-        for client, filters in self.subscriptions.items():
-            self.match_operations += len(filters)
-            if any(f.matches(notification) for f in filters):
-                self.notifications_delivered += 1
-                self.send(client, ElvinNotify(notification), size_bytes=size)
-
-    def _publish_batch(self, notifications: tuple | list) -> None:
-        if not (self.indexed and self.batched):
-            for notification in notifications:
-                self._publish(notification)
-            return
+        Every client receives its matched subset in publish order: one
+        :class:`ElvinNotify` per notification, or — ``batch`` — a single
+        :class:`ElvinNotifyBatch`.  Publishers hear their own events.
+        """
         self.notifications_processed += len(notifications)
-        ops_before = self._index.ops
-        matched_sets = self._index.match_batch(list(notifications))
-        self.match_operations += self._index.ops - ops_before
-        payload_of = self._index.payload
+        index = self.table.index
+        ops_before = index.ops
+        interested = self.table.interested(notifications)
+        if self.indexed:
+            self.match_operations += index.ops - ops_before
+        else:
+            self.match_operations += self.table.stored_count() * len(notifications)
         per_client: dict[Address, list] = {}
-        for notification, matched in zip(notifications, matched_sets):
-            if not matched:
-                continue
-            interested = {payload_of(fid) for fid in matched}
-            for client in self.subscriptions:
-                if client in interested:
-                    per_client.setdefault(client, []).append(notification)
-        for client, batch in per_client.items():
-            self.notifications_delivered += len(batch)
-            self.send(
-                client,
-                ElvinNotifyBatch(tuple(batch)),
-                size_bytes=sum(n.size_bytes() for n in batch),
-            )
-
-    def publish_batch(self, notifications: list) -> None:
-        """Inject a burst of publications directly at the server."""
-        self._publish_batch(notifications)
+        for notification, clients in zip(notifications, interested):
+            for client in clients:
+                per_client.setdefault(client, []).append(notification)
+        for client, group in per_client.items():
+            self.notifications_delivered += len(group)
+            if batch:
+                self.send(
+                    client,
+                    ElvinNotifyBatch(tuple(group)),
+                    size_bytes=sum(n.size_bytes() for n in group),
+                )
+            else:
+                for notification in group:
+                    self.send(
+                        client, ElvinNotify(notification), size_bytes=notification.size_bytes()
+                    )
 
     def handle_message(self, src: Address, payload) -> None:
         if isinstance(payload, ElvinSubscribe):
-            self._subscribe(src, payload.filter)
+            self.table.store(src, payload.filter)
             self._push_quench()
         elif isinstance(payload, ElvinUnsubscribe):
-            self._unsubscribe(src, payload.filter)
+            self.table.remove(src, payload.filter)
             self._push_quench()
         elif isinstance(payload, ElvinSubscribeBatch):
             # Apply every change first so opted-in publishers see one
             # snapshot push for the whole batch, not one per filter.
             for filter in payload.subscribes:
-                self._subscribe(src, filter)
+                self.table.store(src, filter)
             for filter in payload.unsubscribes:
-                self._unsubscribe(src, filter)
+                self.table.remove(src, filter)
             self._push_quench()
         elif isinstance(payload, ElvinQuenchRequest):
             self._quenchers.add(src)
@@ -252,9 +226,13 @@ class ElvinServer(Host):
             self.quench_pushes += 1
             self.send(src, snapshot, size_bytes=64 + 16 * len(snapshot.types))
         elif isinstance(payload, ElvinPublish):
-            self._publish(payload.notification)
+            self._publish((payload.notification,), False)
         elif isinstance(payload, ElvinPublishBatch):
-            self._publish_batch(payload.notifications)
+            if self.batched:
+                self._publish(payload.notifications, True)
+            else:
+                for notification in payload.notifications:
+                    self._publish((notification,), False)
         else:
             raise TypeError(f"unknown elvin message: {payload!r}")
 

@@ -25,6 +25,9 @@ event→pattern pinning):
   preallocated arrays reused across calls — the match hot path
   allocates no per-event dicts (the PR 6 profile in
   ``benchmarks/PROFILE.md`` showed per-event dict churn dominating).
+  The buckets are walked by exactly two routines: ``candidate_fids``
+  (python lists — scalar ``match`` and the pure-python batch path) and
+  ``candidate_arrays`` (numpy mirrors — the vectorised batch path).
 
 * :meth:`PredicateIndex.match_batch` — the *batched* hot path.  A batch
   shares one candidate-collection sweep per distinct (attribute, value)
@@ -235,7 +238,9 @@ class _AttributeIndex:
 
         One entry per satisfied constraint (a filter constraining the
         same attribute twice appears twice) — the caller bumps a counter
-        per entry, exactly like the unbatched collect path.
+        per entry.  This is the one python walk of the buckets: scalar
+        ``match`` and the pure-python batch path both count from it, and
+        its length is what ``PredicateIndex.ops`` accumulates.
         """
         out: list[int] = []
         fam = _family(actual)
@@ -287,109 +292,6 @@ class _AttributeIndex:
                         if value in actual:
                             out.append(fid)
         return out
-
-    def collect(self, actual: Any, counts: list[int], touched: list[int]) -> int:
-        """Bump ``counts`` (a flat array indexed by fid) for every
-        constraint ``actual`` satisfies, recording first-touched fids.
-
-        Returns the number of candidate predicates examined (the
-        indexed analogue of the naive scan's match operations).
-        """
-        ops = 0
-        fam = _family(actual)
-
-        for fid in self.exists:
-            c = counts[fid]
-            if not c:
-                touched.append(fid)
-            counts[fid] = c + 1
-        ops += len(self.exists)
-
-        hits = self.eq.get((fam, actual))
-        if hits:
-            for fid in hits:
-                c = counts[fid]
-                if not c:
-                    touched.append(fid)
-                counts[fid] = c + 1
-            ops += len(hits)
-
-        pool = self.ne_all.get(fam)
-        if pool:
-            ops += len(pool)
-            excluded = self.ne_eq.get((fam, actual))
-            if excluded:
-                skip = Counter(excluded)
-                for fid in pool:
-                    if skip.get(fid):
-                        skip[fid] -= 1
-                        continue
-                    c = counts[fid]
-                    if not c:
-                        touched.append(fid)
-                    counts[fid] = c + 1
-            else:
-                for fid in pool:
-                    c = counts[fid]
-                    if not c:
-                        touched.append(fid)
-                    counts[fid] = c + 1
-
-        if self.ranges:
-            for (op, rfam), thresholds in self.ranges.items():
-                if rfam != fam:
-                    continue
-                lo, hi = thresholds.window(op, actual)
-                for fid in thresholds.fids[lo:hi]:
-                    c = counts[fid]
-                    if not c:
-                        touched.append(fid)
-                    counts[fid] = c + 1
-                ops += hi - lo
-
-        if fam == "s":
-            if self.prefix:
-                for i in range(min(self.prefix_maxlen, len(actual)) + 1):
-                    hits = self.prefix.get(actual[:i])
-                    if hits:
-                        ops += len(hits)
-                        for fid in hits:
-                            c = counts[fid]
-                            if not c:
-                                touched.append(fid)
-                            counts[fid] = c + 1
-            if self.suffix:
-                n = len(actual)
-                for i in range(min(self.suffix_maxlen, n) + 1):
-                    hits = self.suffix.get(actual[n - i:])
-                    if hits:
-                        ops += len(hits)
-                        for fid in hits:
-                            c = counts[fid]
-                            if not c:
-                                touched.append(fid)
-                            counts[fid] = c + 1
-            if self.contains:
-                bucket = self.contains.get("")
-                if bucket:
-                    ops += len(bucket)
-                    for _value, fid in bucket:
-                        c = counts[fid]
-                        if not c:
-                            touched.append(fid)
-                        counts[fid] = c + 1  # "" is in every string
-                for char in set(actual):
-                    bucket = self.contains.get(char)
-                    if not bucket:
-                        continue
-                    ops += len(bucket)
-                    for value, fid in bucket:
-                        if value in actual:
-                            c = counts[fid]
-                            if not c:
-                                touched.append(fid)
-                            counts[fid] = c + 1
-        return ops
 
     # -- numpy mirrors (vectorised batch path) --------------------------
     def candidate_arrays(self, actual: Any, out: list) -> int:
@@ -495,8 +397,9 @@ class PredicateIndex:
     Filters are registered with :meth:`add` (which returns a stable id,
     optionally carrying an opaque ``payload`` such as the subscriber
     address) and withdrawn with :meth:`remove`.  :attr:`ops` accumulates
-    the candidate predicates examined across all ``match`` calls — the
-    indexed counterpart of the naive scan's match-operation count.
+    the candidates collected across all ``match``/``match_batch`` calls
+    (one per satisfied constraint) — the indexed counterpart of the
+    naive scan's match-operation count.
 
     :meth:`match_batch` amortises a batch of notifications: one
     candidate sweep per distinct (attribute, value) pair and — with
@@ -560,7 +463,11 @@ class PredicateIndex:
         return self._filters[fid]
 
     def match(self, notification: Notification) -> set[int]:
-        """Ids of every registered filter the notification satisfies."""
+        """Ids of every registered filter the notification satisfies.
+
+        A batch of one: the candidates of each attribute are bumped into
+        the reusable counter array, then drained through ``touched``.
+        """
         counts = self._counts
         touched = self._touched
         ops = 0
@@ -568,7 +475,13 @@ class PredicateIndex:
         for name, actual in notification.items():
             attr = attributes.get(name)
             if attr is not None:
-                ops += attr.collect(actual, counts, touched)
+                candidates = attr.candidate_fids(actual)
+                ops += len(candidates)
+                for fid in candidates:
+                    c = counts[fid]
+                    if not c:
+                        touched.append(fid)
+                    counts[fid] = c + 1
         self.ops += ops
         needs = self._needs
         out = set()

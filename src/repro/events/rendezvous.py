@@ -29,8 +29,8 @@ Key derivation (the contract the dedup property suite pins):
   discovery registry.
 
 Delivery correctness does not depend on tree precision: every broker a
-publication touches runs it through the ordinary local matching path
-(`_process_publication`), whose per-origin dedup
+publication touches runs it through the ordinary local routing step
+(``BrokerNode._route``), whose per-origin dedup
 (:class:`~repro.events.failure.OriginFloorCache`) makes redundant
 copies — type-key/wildcard-key overlap, stale tree edges during churn,
 detour routes around failed links — collapse to exactly-once per
@@ -303,11 +303,6 @@ class RendezvousEngine:
         self._mcast_seen: dict[Guid, OriginFloorCache] = {}
         self._announce_seq = 0
         self._announce_floor: dict[Address, int] = {}
-        # Delivery-path telemetry for the scale benchmark.
-        self.delivery_hops_sum = 0
-        self.delivery_hops_count = 0
-        self.joins_sent = 0
-        self.publications_routed = 0
         broker.on_recover_hooks.append(self._on_recover)
         self._refresh = PeriodicTask(self.sim, REFRESH_INTERVAL, self._refresh_tick)
 
@@ -471,7 +466,6 @@ class RendezvousEngine:
     def _graft(self, key: Guid) -> None:
         nxt = self.next_hop(key)
         if nxt is not None:
-            self.joins_sent += 1
             self.broker._send_control(nxt, RvJoin(key, self.broker.addr, 1))
 
     def regraft(self) -> None:
@@ -535,7 +529,6 @@ class RendezvousEngine:
     # ------------------------------------------------------------------
     def publish(self, notification: "Notification", pub_id: tuple) -> None:
         """Route a locally-originated publication to every relevant root."""
-        self.publications_routed += 1
         for key in publication_keys(notification):
             self._route_publication(key, notification, pub_id, 0)
 
@@ -556,13 +549,11 @@ class RendezvousEngine:
         # Every hop runs the local matching path: dedup makes it
         # idempotent, and en-route brokers with matching local interest
         # deliver early even while their tree graft is still converging.
-        self._note_delivery(msg.hops)
-        self.broker._process_publication(src, msg.notification, msg.pub_id)
+        self.broker._route(src, ((msg.notification, msg.pub_id),), False)
         self._route_publication(msg.key, msg.notification, msg.pub_id, msg.hops)
 
     def _handle_multicast(self, src: Address, msg: RvMulticast) -> None:
-        self._note_delivery(msg.hops)
-        self.broker._process_publication(src, msg.notification, msg.pub_id)
+        self.broker._route(src, ((msg.notification, msg.pub_id),), False)
         self._forward_down(
             msg.key, msg.notification, msg.pub_id, msg.hops, exclude=src
         )
@@ -596,10 +587,6 @@ class RendezvousEngine:
                 RvMulticast(key, notification, pub_id, hops + 1),
                 size_bytes=size,
             )
-
-    def _note_delivery(self, hops: int) -> None:
-        self.delivery_hops_sum += hops
-        self.delivery_hops_count += 1
 
     # ------------------------------------------------------------------
     # Repair
@@ -656,11 +643,6 @@ class RendezvousEngine:
             + sum(len(state.children) for state in self.trees.values())
             + sum(len(entries) for entries in self.root_adverts.values())
         )
-
-    def mean_delivery_hops(self) -> float:
-        if not self.delivery_hops_count:
-            return 0.0
-        return self.delivery_hops_sum / self.delivery_hops_count
 
     def handle(self, src: Address, payload) -> bool:
         """Dispatch one rendezvous message; False if it is not ours."""

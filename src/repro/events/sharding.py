@@ -174,7 +174,6 @@ class ShardedSubscriptionIndex:
         # Removed fids leave a stale slot that no match can return.
         self._rid_of: list[list[int]] = [[] for _ in range(plan.n_shards)]
         self._next_rid = 0
-        self.replicated = 0  # live wildcard registrations
 
     def __len__(self) -> int:
         return len(self._filters)
@@ -190,7 +189,6 @@ class ShardedSubscriptionIndex:
         target = self.plan.shard_of_filter(filter)
         if target is None:
             shard_ids: Iterable[int] = range(self.plan.n_shards)
-            self.replicated += 1
         else:
             shard_ids = (target,)
         entries = []
@@ -207,8 +205,6 @@ class ShardedSubscriptionIndex:
 
     def remove(self, rid: int) -> Any:
         entries = self._entries.pop(rid)
-        if len(entries) > 1:
-            self.replicated -= 1
         for sid, fid in entries:
             self.shards[sid].remove(fid)
         del self._filters[rid]

@@ -31,7 +31,7 @@ the indexed fabric against.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Sequence
 
 from repro.events.covering import filter_covers
 from repro.events.filters import Filter
@@ -133,11 +133,45 @@ class FilterTable:
     def forwarded_count(self) -> int:
         return sum(len(filters) for filters in self.forwarded.values())
 
+    def interested(
+        self, notifications: Sequence[Notification], exclude: Address | None = None
+    ) -> list[list[Address]]:
+        """Per notification, the sources holding a filter that admits it.
+
+        Sources come in by-source insertion order — the order deliveries
+        leave in, so simulator tie-breaks do not depend on the matching
+        strategy — and ``exclude`` (where a publication came from) is
+        never among them.  This is the one place that knows indexed from
+        scanned and one notification from many: ``index.match`` for a
+        single notification, one ``match_batch`` sweep for several, the
+        ``Filter.matches`` scan when ``indexed`` is off.
+        """
+        if not self.indexed:
+            filter_of = self._filter_of
+            return [
+                [
+                    source
+                    for source, records in self.by_source.items()
+                    if source != exclude
+                    and any(filter_of(r).matches(notification) for r in records)
+                ]
+                for notification in notifications
+            ]
+        if len(notifications) == 1:
+            matched_sets = [self.index.match(notifications[0])]
+        else:
+            matched_sets = self.index.match_batch(notifications)
+        payload = self.index.payload
+        out: list[list[Address]] = []
+        for matched in matched_sets:
+            holders = {payload(fid) for fid in matched}
+            holders.discard(exclude)
+            out.append([s for s in self.by_source if s in holders] if holders else [])
+        return out
+
     def matches(self, notification: Notification) -> bool:
         """Does any stored filter admit ``notification``?"""
-        if self.indexed:
-            return bool(self.index.match(notification))
-        return any(f.matches(notification) for _, f in self.entries())
+        return bool(self.interested((notification,))[0])
 
     def store(
         self,

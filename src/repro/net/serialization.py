@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.events.wire import (
     Advertise,
@@ -95,89 +95,92 @@ def _decode_items(obj: list) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Message-level codec: one tag per wire dataclass
+# Message-level codec: one tag per wire dataclass, one table each way
 # ----------------------------------------------------------------------
+def _encode_pathed(tag: str) -> Callable[[Any], dict]:
+    """Encoder for Subscribe/Advertise: ``p``/``r`` only when non-default."""
+
+    def encode(message: Any) -> dict:
+        obj = {"t": tag, "f": encode_filter(message.filter)}
+        if message.path:
+            obj["p"] = list(message.path)
+        if message.path_reset:
+            obj["r"] = True
+        return obj
+
+    return encode
+
+
+def _decode_pathed(cls: type) -> Callable[[dict], Any]:
+    return lambda obj: cls(
+        decode_filter(obj["f"]), tuple(obj.get("p", ())), obj.get("r", False)
+    )
+
+
+def _encode_notifications(notifications: tuple) -> list:
+    return [encode_notification(n) for n in notifications]
+
+
+def _decode_notifications(obj: list) -> tuple:
+    return tuple(decode_notification(n) for n in obj)
+
+
+# No wire class is subclassed, so each direction is one dict lookup: on
+# the message's exact type to encode, on its tag to decode.
+_ENCODERS: dict[type, Callable[[Any], dict]] = {
+    Subscribe: _encode_pathed("sub"),
+    Unsubscribe: lambda m: {"t": "unsub", "f": encode_filter(m.filter)},
+    Advertise: _encode_pathed("adv"),
+    Unadvertise: lambda m: {"t": "unadv", "f": encode_filter(m.filter)},
+    Publish: lambda m: {
+        "t": "pub",
+        "n": encode_notification(m.notification),
+        "id": list(m.pub_id) if m.pub_id else None,
+    },
+    PublishBatch: lambda m: {"t": "pubb", "items": _encode_items(m.items)},
+    Notify: lambda m: {"t": "ntf", "n": encode_notification(m.notification)},
+    NotifyBatch: lambda m: {"t": "ntfb", "ns": _encode_notifications(m.notifications)},
+    Routed: lambda m: {"t": "routed", "src": m.source, "m": encode_message(m.message)},
+    Attach: lambda m: {"t": "attach", "c": m.client},
+    Detach: lambda m: {"t": "detach", "c": m.client},
+    Deliver: lambda m: {
+        "t": "dlv",
+        "items": [[client, _encode_notifications(ns)] for client, ns in m.items],
+    },
+    Hello: lambda m: {"t": "hello", "addrs": list(m.addrs)},
+}
+
+_DECODERS: dict[str, Callable[[dict], Any]] = {
+    "sub": _decode_pathed(Subscribe),
+    "unsub": lambda obj: Unsubscribe(decode_filter(obj["f"])),
+    "adv": _decode_pathed(Advertise),
+    "unadv": lambda obj: Unadvertise(decode_filter(obj["f"])),
+    "pub": lambda obj: Publish(decode_notification(obj["n"]), _pub_id(obj["id"])),
+    "pubb": lambda obj: PublishBatch(_decode_items(obj["items"])),
+    "ntf": lambda obj: Notify(decode_notification(obj["n"])),
+    "ntfb": lambda obj: NotifyBatch(_decode_notifications(obj["ns"])),
+    "routed": lambda obj: Routed(obj["src"], decode_message(obj["m"])),
+    "attach": lambda obj: Attach(obj["c"]),
+    "detach": lambda obj: Detach(obj["c"]),
+    "dlv": lambda obj: Deliver(
+        tuple((client, _decode_notifications(ns)) for client, ns in obj["items"])
+    ),
+    "hello": lambda obj: Hello(tuple(obj["addrs"])),
+}
+
+
 def encode_message(message: Any) -> dict:
-    if isinstance(message, Subscribe):
-        return {"t": "sub", "f": encode_filter(message.filter)}
-    if isinstance(message, Unsubscribe):
-        return {"t": "unsub", "f": encode_filter(message.filter)}
-    if isinstance(message, Advertise):
-        return {"t": "adv", "f": encode_filter(message.filter)}
-    if isinstance(message, Unadvertise):
-        return {"t": "unadv", "f": encode_filter(message.filter)}
-    if isinstance(message, Publish):
-        return {
-            "t": "pub",
-            "n": encode_notification(message.notification),
-            "id": list(message.pub_id) if message.pub_id else None,
-        }
-    if isinstance(message, PublishBatch):
-        return {"t": "pubb", "items": _encode_items(message.items)}
-    if isinstance(message, Notify):
-        return {"t": "ntf", "n": encode_notification(message.notification)}
-    if isinstance(message, NotifyBatch):
-        return {
-            "t": "ntfb",
-            "ns": [encode_notification(n) for n in message.notifications],
-        }
-    if isinstance(message, Routed):
-        return {
-            "t": "routed",
-            "src": message.source,
-            "m": encode_message(message.message),
-        }
-    if isinstance(message, Attach):
-        return {"t": "attach", "c": message.client}
-    if isinstance(message, Detach):
-        return {"t": "detach", "c": message.client}
-    if isinstance(message, Deliver):
-        return {
-            "t": "dlv",
-            "items": [
-                [client, [encode_notification(n) for n in ns]]
-                for client, ns in message.items
-            ],
-        }
-    if isinstance(message, Hello):
-        return {"t": "hello", "addrs": list(message.addrs)}
-    raise TypeError(f"no wire encoding for {type(message).__name__}")
+    encoder = _ENCODERS.get(type(message))
+    if encoder is None:
+        raise TypeError(f"no wire encoding for {type(message).__name__}")
+    return encoder(message)
 
 
 def decode_message(obj: dict) -> Any:
-    tag = obj["t"]
-    if tag == "sub":
-        return Subscribe(decode_filter(obj["f"]))
-    if tag == "unsub":
-        return Unsubscribe(decode_filter(obj["f"]))
-    if tag == "adv":
-        return Advertise(decode_filter(obj["f"]))
-    if tag == "unadv":
-        return Unadvertise(decode_filter(obj["f"]))
-    if tag == "pub":
-        return Publish(decode_notification(obj["n"]), _pub_id(obj["id"]))
-    if tag == "pubb":
-        return PublishBatch(_decode_items(obj["items"]))
-    if tag == "ntf":
-        return Notify(decode_notification(obj["n"]))
-    if tag == "ntfb":
-        return NotifyBatch(tuple(decode_notification(n) for n in obj["ns"]))
-    if tag == "routed":
-        return Routed(obj["src"], decode_message(obj["m"]))
-    if tag == "attach":
-        return Attach(obj["c"])
-    if tag == "detach":
-        return Detach(obj["c"])
-    if tag == "hello":
-        return Hello(tuple(obj["addrs"]))
-    if tag == "dlv":
-        return Deliver(
-            tuple(
-                (client, tuple(decode_notification(n) for n in ns))
-                for client, ns in obj["items"]
-            )
-        )
-    raise ValueError(f"unknown wire tag: {tag!r}")
+    decoder = _DECODERS.get(obj["t"])
+    if decoder is None:
+        raise ValueError(f"unknown wire tag: {obj['t']!r}")
+    return decoder(obj)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for the Siena broker network, the Elvin baseline, and mobility."""
 
+import pytest
+
 from repro.events.broker import BrokerNode, SienaClient, build_broker_tree
 from repro.events.elvin import ElvinClient, ElvinServer
 from repro.events.filters import Filter, eq, gt, type_is
 from repro.events.mobility import MobileClient
 from repro.events.model import make_event
+from repro.events.wire import Notify, NotifyBatch, Publish, PublishBatch
 from repro.net import FixedLatency, Network, Position
 from repro.simulation import Simulator
 
@@ -210,6 +213,107 @@ class TestTopologyIdempotence:
         b.disconnect(a)
         sim.run_for(1.0)
         assert (dict(a.control_counts), dict(b.control_counts)) == counts
+
+
+class TestWireForms:
+    """Which message types leave a broker, per inbound form and ``batched``.
+
+    The rule: a destination gets one ``Notify``/``Publish`` per item,
+    unless the items came in as a ``PublishBatch`` *and* the broker is
+    ``batched`` — then one ``NotifyBatch``/``PublishBatch``, even when a
+    single item survives.  Proxied clients are buffered, never sent to.
+    """
+
+    def world(self, batched):
+        sim = Simulator(seed=0)
+        network = Network(sim, latency=FixedLatency(0.01))
+        edge, far = (
+            BrokerNode(sim, network, Position(i, i), batched=batched) for i in range(2)
+        )
+        edge.connect(far)
+        publisher = client_at(sim, network, edge)
+        local = client_at(sim, network, edge)
+        remote = client_at(sim, network, far)
+        roamer = MobileClient(sim, network, Position(5, 5), edge)
+        for client in (local, remote, roamer):
+            client.subscribe(Filter(type_is("mail")))
+        sim.run_for(1.0)
+        roamer.move_out()
+        sim.run_for(1.0)
+        sent = []
+        wire_send = edge.send
+
+        def recording_send(dst, payload, size_bytes=256):
+            sent.append((dst, payload))
+            return wire_send(dst, payload, size_bytes)
+
+        edge.send = recording_send
+        return sim, edge, far, publisher, local, remote, roamer, sent
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    def test_single_publish_leaves_as_singles(self, batched):
+        sim, edge, far, publisher, local, remote, roamer, sent = self.world(batched)
+        event = make_event("mail", n=1)
+        publisher.publish(event)
+        sim.run_for(1.0)
+        assert sent == [
+            (local.addr, Notify(event)),
+            (far.addr, Publish(event, (publisher.addr, 0))),
+        ]
+        assert edge.proxies[roamer.addr] == [event]
+        assert [n for _, n in remote.received] == [event]
+
+    def test_batch_unbundles_when_the_broker_is_not_batched(self):
+        sim, edge, far, publisher, local, remote, roamer, sent = self.world(False)
+        events = [make_event("mail", n=n) for n in range(3)]
+        publisher.publish_batch(events)
+        sim.run_for(1.0)
+        assert sent == [
+            message
+            for seq, event in enumerate(events)
+            for message in (
+                (local.addr, Notify(event)),
+                (far.addr, Publish(event, (publisher.addr, seq))),
+            )
+        ]
+        assert edge.proxies[roamer.addr] == events
+        assert [n for _, n in remote.received] == events
+
+    def test_batch_stays_one_message_per_destination_when_batched(self):
+        sim, edge, far, publisher, local, remote, roamer, sent = self.world(True)
+        events = [make_event("mail", n=0), make_event("spam"), make_event("mail", n=2)]
+        publisher.publish_batch(events)
+        sim.run_for(1.0)
+        mail = [events[0], events[2]]
+        assert sent == [
+            (local.addr, NotifyBatch(tuple(mail))),
+            (
+                far.addr,
+                PublishBatch(((mail[0], (publisher.addr, 0)), (mail[1], (publisher.addr, 2)))),
+            ),
+        ]
+        assert edge.proxies[roamer.addr] == mail
+        assert [n for _, n in remote.received] == mail
+        assert edge.notifications_processed == 3 and edge.notifications_delivered == 2
+
+    def test_one_survivor_of_a_batch_still_travels_as_a_batch(self):
+        sim, edge, far, publisher, local, remote, roamer, sent = self.world(True)
+        event = make_event("mail", n=7)
+        publisher.publish(event)  # pub_id (publisher, 0), seen below as a duplicate
+        sim.run_for(1.0)
+        del sent[:]
+        fresh = make_event("mail", n=8)
+        publisher.send(
+            edge.addr,
+            PublishBatch(((event, (publisher.addr, 0)), (fresh, (publisher.addr, 1)))),
+        )
+        sim.run_for(1.0)
+        assert sent == [
+            (local.addr, NotifyBatch((fresh,))),
+            (far.addr, PublishBatch(((fresh, (publisher.addr, 1)),))),
+        ]
+        assert edge.duplicates_suppressed == 1
+        assert edge.proxies[roamer.addr] == [event, fresh]
 
 
 class TestElvinBaseline:

@@ -22,11 +22,15 @@ import pytest
 from repro.events.broker import BrokerNode, SienaClient, build_broker_tree
 from repro.events.failure import Resync
 from repro.events.filters import Filter, eq, gt, type_is
+from repro.events.model import make_event
+from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
 from repro.events.subscriptions import Subscription
 from repro.events.table import FilterTable
 from repro.events.wire import Subscribe, Unsubscribe
 from repro.net import FixedLatency, Network, Position
 from repro.simulation import Simulator
+from tests.test_index_equivalence import random_filter as any_operator_filter
+from tests.test_index_equivalence import random_notification
 
 ME, N, S1, S2, S3, S4 = "me", "n", "s1", "s2", "s3", "s4"
 
@@ -172,6 +176,79 @@ class TestLinks:
         (record,) = table.by_source[S1]
         assert record.filter == WIDE and record.subscriber == S1
         assert table.filters_from(S1) == [WIDE]
+
+
+class TestInterested:
+    """The one query publications are routed by (`FilterTable.interested`)."""
+
+    SOURCES = [f"s{i}" for i in range(12)]
+
+    def populated(self, seed, **options):
+        rng = random.Random(seed)
+        table, _ = make_table(links=(), **options)
+        for _ in range(150):
+            table.store(rng.choice(self.SOURCES), any_operator_filter(rng))
+        # Churn, so by-source order is not simply first-store order.
+        for source, filter in rng.sample(list(table.entries()), 40):
+            table.remove(source, filter)
+        for _ in range(30):
+            table.store(rng.choice(self.SOURCES), any_operator_filter(rng))
+        return table, [random_notification(rng) for _ in range(60)]
+
+    @staticmethod
+    def reference(table, notification, exclude=None):
+        """What the definition says, straight off the by-source lists."""
+        return [
+            source
+            for source in table.by_source
+            if source != exclude
+            and any(f.matches(notification) for f in table.filters_from(source))
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_naive_indexed_and_sharded_agree_with_the_definition(self, seed):
+        variants = {
+            "naive": dict(indexed=False),
+            "indexed": dict(indexed=True),
+            "sharded": dict(indexed=True, index=ShardedSubscriptionIndex(ShardPlan(3))),
+            "records": dict(indexed=False, record=Subscription.fresh),
+        }
+        answers = {}
+        for name, options in variants.items():
+            table, notifications = self.populated(seed, **options)
+            expected = [self.reference(table, n) for n in notifications]
+            assert len({tuple(e) for e in expected}) > 20  # the workload discriminates
+            # One notification at a time, and the same ones as one batch.
+            assert [table.interested([n])[0] for n in notifications] == expected, name
+            assert table.interested(notifications) == expected, name
+            assert table.interested(tuple(notifications[:1])) == expected[:1], name
+            assert [table.matches(n) for n in notifications] == [bool(e) for e in expected]
+            answers[name] = expected
+        assert len({repr(a) for a in answers.values()}) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exclude_drops_exactly_that_source(self, seed, indexed):
+        table, notifications = self.populated(seed, indexed=indexed)
+        for exclude in (self.SOURCES[0], self.SOURCES[7], "nobody", None):
+            expected = [self.reference(table, n, exclude) for n in notifications]
+            assert table.interested(notifications, exclude=exclude) == expected
+            assert all(exclude not in dests for dests in expected)
+            assert [table.interested([n], exclude=exclude)[0] for n in notifications] == expected
+
+    def test_order_is_by_source_insertion_order(self, indexed):
+        table, _ = make_table(indexed, links=())
+        event = make_event("weather", temp=20.0, city="fife")
+        for source in ("s3", "s1", "s2"):
+            table.store(source, WIDE)
+        table.store("s1", NARROW_A)  # a second match does not repeat s1
+        table.store("s0", OTHER)  # holds nothing that matches
+        assert table.interested([event]) == [["s3", "s1", "s2"]]
+        # A source that empties and returns goes to the back of the line.
+        table.remove("s3", WIDE)
+        table.store("s3", NARROW_B)
+        assert table.interested([event, event], exclude="s2") == [["s1", "s3"]] * 2
+        assert table.interested([]) == []
+        assert table.interested([make_event("rfid")]) == [[]]
 
 
 class TestAudit:

@@ -1,0 +1,113 @@
+"""The socket codec round-trips every wire message unchanged.
+
+Each sample goes through the whole path a frame takes between processes —
+``encode_frame`` → bytes → ``FrameDecoder.feed`` — so JSON's own
+conversions (tuples become lists, ``None`` becomes ``null``) are part of
+what is checked, not just the dict-level ``encode_message``.
+"""
+
+import pytest
+
+from repro.events.filters import Filter, eq, exists, gt, prefix, type_is
+from repro.events.model import Notification, make_event
+from repro.events.sharding import Attach, Deliver, Detach, Routed
+from repro.events.wire import (
+    Advertise,
+    MoveOut,
+    Notify,
+    NotifyBatch,
+    Publish,
+    PublishBatch,
+    Subscribe,
+    Unadvertise,
+    Unsubscribe,
+)
+from repro.net.serialization import (
+    FrameDecoder,
+    Hello,
+    decode_message,
+    encode_frame,
+    encode_message,
+)
+
+BAND = Filter(type_is("rfid"), gt("strength", 2.5), exists("tag"), prefix("room", "lab-"))
+FLAG = Filter(eq("armed", True), eq("floor", 3))
+EVENT = make_event("rfid", time=12.5, strength=4, tag="t-17", armed=False)
+BARE = Notification({"x": 1.0})
+ITEMS = ((EVENT, ("c1", 0)), (BARE, None), (EVENT, ("c1", 2)))
+
+SAMPLES = [
+    Subscribe(BAND),
+    Subscribe(BAND, ("b1", "b2"), True),
+    Subscribe(FLAG, ("b1",)),
+    Subscribe(FLAG, (), True),
+    Unsubscribe(BAND),
+    Advertise(FLAG),
+    Advertise(BAND, ("b3", "b1", "b2"), True),
+    Unadvertise(FLAG),
+    Publish(EVENT, ("c1", 41)),
+    Publish(BARE, None),
+    PublishBatch(ITEMS),
+    PublishBatch(()),
+    Notify(EVENT),
+    NotifyBatch((EVENT, BARE)),
+    NotifyBatch(()),
+    Routed("c1", PublishBatch(ITEMS)),
+    Routed("c2", Subscribe(BAND, ("b1", "b2"), True)),
+    Routed("c3", Publish(BARE, None)),
+    Attach("c1"),
+    Detach("c1"),
+    Deliver((("c1", (EVENT, BARE)), ("c2", ()))),
+    Deliver(()),
+    Hello(("shard-0", "shard-1")),
+    Hello(()),
+]
+
+
+def over_the_wire(message):
+    frames = list(FrameDecoder().feed(encode_frame("src", "dst", message)))
+    assert len(frames) == 1 and frames[0][:2] == ("src", "dst")
+    return frames[0][2]
+
+
+@pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
+def test_encode_then_decode_is_identity(message):
+    assert over_the_wire(message) == message
+    assert decode_message(encode_message(message)) == message
+
+
+def test_every_wire_type_has_a_sample():
+    assert {type(m) for m in SAMPLES} == {
+        Subscribe, Unsubscribe, Advertise, Unadvertise, Publish, PublishBatch,
+        Notify, NotifyBatch, Routed, Attach, Detach, Deliver, Hello,
+    }
+
+
+def test_paths_survive_and_keep_their_order():
+    back = over_the_wire(Subscribe(BAND, ("b1", "b2"), True))
+    assert back.path == ("b1", "b2") and back.path_reset is True
+    nested = over_the_wire(Routed("c", Advertise(FLAG, ("b2", "b1"))))
+    assert nested.message.path == ("b2", "b1") and nested.message.path_reset is False
+
+
+def test_default_path_fields_cost_no_bytes():
+    """A client's plain Subscribe/Advertise must not grow on the wire."""
+    assert encode_message(Subscribe(BAND)).keys() == {"t", "f"}
+    assert encode_message(Advertise(BAND)).keys() == {"t", "f"}
+    assert encode_message(Subscribe(BAND, ("b1",))).keys() == {"t", "f", "p"}
+    assert encode_message(Subscribe(BAND, (), True)).keys() == {"t", "f", "r"}
+
+
+def test_value_families_are_kept_apart():
+    back = over_the_wire(Publish(Notification({"a": 1, "b": 1.0, "c": True}), ("c", 0)))
+    assert [type(back.notification[k]) for k in "abc"] == [int, float, bool]
+    assert over_the_wire(Publish(BARE, None)).pub_id is None
+
+
+def test_unknown_type_and_unknown_tag_are_refused():
+    with pytest.raises(TypeError, match="MoveOut"):
+        encode_message(MoveOut())
+    with pytest.raises(TypeError):
+        encode_message(Routed("c", MoveOut()))
+    with pytest.raises(ValueError, match="bogus"):
+        decode_message({"t": "bogus"})
