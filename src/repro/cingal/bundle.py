@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.cingal.capabilities import validate_capabilities
 from repro.xmlkit.model import XmlElement

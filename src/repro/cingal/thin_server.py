@@ -11,7 +11,6 @@ delivery and wiring (Figure 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.cingal.bundle import Bundle, BundleError, verify_bundle

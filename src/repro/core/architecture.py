@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from repro.cingal.bundle import make_bundle
 from repro.cingal.thin_server import ThinServer
 from repro.events.broker import BrokerNode, SienaClient, build_broker_tree
 from repro.events.filters import Filter, eq, type_is
 from repro.events.model import Notification, make_event
-from repro.evolution.advertisement import ResourceAdvertiser, region_of
+from repro.evolution.advertisement import ResourceAdvertiser
 from repro.evolution.engine import EvolutionEngine
 from repro.evolution.monitor import HeartbeatMonitor
-from repro.knowledge.base import KnowledgeBase
 from repro.knowledge.distributed import DistributedKnowledgeBase
 from repro.knowledge.facts import Fact
 from repro.matching.matchlet import KbUpdateApplier, Matchlet, default_rule_registry

@@ -13,7 +13,7 @@ from repro.events.model import Notification, make_event
 from repro.events.filters import Constraint, Filter, Op
 from repro.events.covering import constraint_covers, filter_covers
 from repro.events.index import CoveringPoset, PredicateIndex
-from repro.events.subscriptions import Advertisement, Subscription
+from repro.events.subscriptions import Subscription
 from repro.events.broker import (
     BrokerNode,
     SienaClient,
@@ -30,7 +30,6 @@ from repro.events.failure import (
 from repro.events.mobility import MobileClient
 
 __all__ = [
-    "Advertisement",
     "BrokerNode",
     "Constraint",
     "CoveringPoset",

@@ -121,13 +121,13 @@ from repro.events.wire import (
     Unadvertise,
     Unsubscribe,
 )
-from repro.ids import GUID_DIGITS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.failure import FailureDetector, HeartbeatConfig
-from repro.net.geo import WORLD_REGIONS, Position
+from repro.net.geo import WORLD_REGIONS, Position, region_of
 from repro.net.host import Host
 from repro.net.network import Address, Network
+from repro.overlay.node_state import fill_converged
 from repro.simulation import PeriodicTask, Simulator
 
 ROUTING_MODES = ("flood", "dht")
@@ -293,7 +293,8 @@ class BrokerNode(Host):
             RendezvousEngine(self) if routing == "dht" else None
         )
         # No wire class is subclassed, so dispatch is one dict lookup on
-        # the payload's exact type.
+        # the payload's exact type.  A dht broker adds the engine's
+        # ``Rv*`` entries; to a flood broker those stay unknown messages.
         self._handlers: dict[type, Callable[[Address, object], None]] = {
             Subscribe: self._on_subscribe,
             Unsubscribe: self._on_unsubscribe,
@@ -308,6 +309,8 @@ class BrokerNode(Host):
             TransferRequest: self._on_transfer_request,
             Transfer: self._on_transfer,
         }
+        if self.rv is not None:
+            self._handlers.update(self.rv.handlers())
 
     # ------------------------------------------------------------------
     # Topology
@@ -825,10 +828,9 @@ class BrokerNode(Host):
 
     def handle_message(self, src: Address, payload) -> None:
         handler = self._handlers.get(type(payload))
-        if handler is not None:
-            handler(src, payload)
-        elif self.rv is None or not self.rv.handle(src, payload):
+        if handler is None:
             raise TypeError(f"unknown broker message: {payload!r}")
+        handler(src, payload)
 
 
 # Event types that are control-plane traffic, not service demand: the
@@ -837,6 +839,9 @@ class BrokerNode(Host):
 CONTROL_EVENT_TYPES = frozenset(
     {"resource", "node-leaving", "node-failed", "node-recovered"}
 )
+
+# Events/second a broker host is sized for: the rate ``load`` reports as 1.0.
+CAPACITY_EPS = 200.0
 
 
 class BrokerMetrics:
@@ -848,10 +853,11 @@ class BrokerMetrics:
     carrying
 
     * ``load`` — processed-notification rate over the interval, as a
-      fraction of ``capacity_eps`` (events/second the host is sized for);
+      fraction of ``CAPACITY_EPS`` (events/second the host is sized for);
     * ``queue_depth`` — notifications parked in mobility proxy buffers;
     * ``event_age`` — mean of ``now - notification.time`` over the
-      service publications processed this interval.  A host far from the
+      service publications (everything but ``CONTROL_EVENT_TYPES``)
+      processed this interval.  A host far from the
       traffic's producers sees events that are already old on arrival,
       so this is the decentralised delivery-latency signal a
       :class:`~repro.evolution.constraints.LoadConstraint` migrates on.
@@ -868,20 +874,16 @@ class BrokerMetrics:
         node_id: str,
         period_s: float = 20.0,
         deploy_addr: Address | None = None,
-        capacity_eps: float = 200.0,
         capacity: float = 1.0,
         jitter: float = 0.0,
         start_delay: float | None = None,
-        ignore_types: frozenset = CONTROL_EVENT_TYPES,
     ):
         self.broker = broker
         self.node_id = node_id
         self.period_s = period_s
         self.deploy_addr = deploy_addr if deploy_addr is not None else broker.addr
-        self.capacity_eps = capacity_eps
         self.capacity = capacity
-        self.ignore_types = ignore_types
-        self.region = self._region_of(broker.position)
+        self.region = region_of(broker.position)
         self.published = 0
         self._age_sum = 0.0
         self._age_count = 0
@@ -897,16 +899,9 @@ class BrokerMetrics:
             rng=rng,
         )
 
-    @staticmethod
-    def _region_of(position: Position) -> str:
-        for region in WORLD_REGIONS:
-            if region.contains(position):
-                return region.name
-        return "other"
-
     def observe(self, notification: Notification) -> None:
         """Called by the broker for every publication it processes."""
-        if notification.event_type in self.ignore_types:
+        if notification.event_type in CONTROL_EVENT_TYPES:
             return
         if "time" not in notification:
             return
@@ -925,7 +920,7 @@ class BrokerMetrics:
             "region": self.region,
             "lat": broker.position.lat,
             "lon": broker.position.lon,
-            "load": round(min(1.0, rate / self.capacity_eps), 4),
+            "load": round(min(1.0, rate / CAPACITY_EPS), 4),
             "rate": round(rate, 4),
             "queue_depth": queue_depth,
             "capacity": self.capacity,
@@ -1125,34 +1120,22 @@ def build_broker_mesh(
     return brokers
 
 
-def build_dht_fleet(
-    sim: Simulator,
-    network: Network,
-    count: int,
-    indexed: bool = True,
-    seen_ttl: float = 30.0,
-    prefix_depth: int = 8,
-) -> list[BrokerNode]:
+def build_dht_fleet(sim: Simulator, network: Network, count: int) -> list[BrokerNode]:
     """A converged ``routing="dht"`` fleet built from global knowledge.
 
-    Mirrors :func:`repro.overlay.pastry.fast_build`: leaf sets come from
-    the sorted guid ring, prefix tables from geographically-closest
-    candidates per (row, digit) bucket — the state Pastry's join
-    protocol converges to, at O(N log N) build cost.  No overlay links
-    are created (rendezvous routing addresses peers directly through
-    the ring view), so the membership ``directory`` stays empty and the
-    per-broker control state the scale benchmark measures is the honest
-    O(log N) Pastry footprint.
+    The brokers' ring views are filled by the same
+    :func:`repro.overlay.node_state.fill_converged` that
+    :func:`repro.overlay.pastry.fast_build` uses — the state Pastry's
+    join protocol converges to, at O(N log N) build cost.  No overlay
+    links are created (rendezvous routing addresses peers directly
+    through the ring view), so the membership ``directory`` stays empty
+    and the per-broker control state the scale benchmark measures is the
+    honest O(log N) Pastry footprint.
 
-    Knobs: ``indexed`` (default ``True``) selects the predicate-indexed
-    matching fabric as on :class:`BrokerNode`; ``seen_ttl`` (default
-    ``30.0`` s) bounds the per-origin dedup floor;
-    ``prefix_depth`` (default ``8``) caps the prefix-table rows built
-    per broker, trading routing-table size against hop count at the
-    bench's fleet sizes.  Use this builder for scale measurements
-    (bench E5 ``dht_scale``); for protocol-level join/heal behaviour
-    build small fleets organically via ``BrokerNode(routing="dht")``
-    plus :meth:`BrokerNode.connect`.
+    Use this builder for scale measurements (bench E5 ``dht_scale``);
+    for protocol-level join/heal behaviour build small fleets
+    organically via ``BrokerNode(routing="dht")`` plus
+    :meth:`BrokerNode.connect`.
     """
     rng = sim.rng_for("dht-fleet-build")
     brokers = [
@@ -1160,39 +1143,9 @@ def build_dht_fleet(
             sim,
             network,
             WORLD_REGIONS[i % len(WORLD_REGIONS)].random_position(rng),
-            indexed=indexed,
-            seen_ttl=seen_ttl,
             routing="dht",
         )
         for i in range(count)
     ]
-    ordered = sorted(brokers, key=lambda b: b.rv.guid.value)
-    total = len(ordered)
-    half = ordered[0].rv.leaf_size // 2
-    for index, broker in enumerate(ordered):
-        for offset in range(1, min(half, total - 1) + 1):
-            broker.rv.leaf.add(ordered[(index + offset) % total].rv.descriptor)
-            broker.rv.leaf.add(ordered[(index - offset) % total].rv.descriptor)
-
-    by_prefix: dict[str, list[BrokerNode]] = {}
-    for broker in brokers:
-        hex_id = broker.rv.guid.hex
-        for depth in range(1, prefix_depth + 1):
-            by_prefix.setdefault(hex_id[:depth], []).append(broker)
-
-    for broker in brokers:
-        hex_id = broker.rv.guid.hex
-        for row in range(min(prefix_depth, GUID_DIGITS)):
-            own_digit = broker.rv.guid.digit(row)
-            for col in range(16):
-                if col == own_digit:
-                    continue
-                candidates = by_prefix.get(hex_id[:row] + f"{col:x}")
-                if not candidates:
-                    continue
-                best = min(
-                    candidates[:16],
-                    key=lambda c: broker.position.distance_km(c.position),
-                )
-                broker.rv.table.add(best.rv.descriptor)
+    fill_converged([(broker.rv.leaf, broker.rv.table) for broker in brokers])
     return brokers

@@ -12,23 +12,7 @@ which only costs redundant forwarding, never lost notifications.
 
 from __future__ import annotations
 
-from repro.events.filters import Constraint, Filter, Op
-
-
-def _same_family(av, bv) -> bool:
-    """Do both values live in one comparison family (bool/number/string)?
-
-    ``Constraint.matches`` only ever compares within a family, but raw
-    ``==``/``!=`` on the constraint values folds ``True`` into ``1`` —
-    without this guard ``[x != -1]`` would claim to cover ``[x = False]``
-    while matching no bool at all, an unsound ``True`` that covering
-    suppression would turn into lost subscriptions.
-    """
-    if isinstance(av, bool) or isinstance(bv, bool):
-        return isinstance(av, bool) and isinstance(bv, bool)
-    if isinstance(av, (int, float)) and isinstance(bv, (int, float)):
-        return True
-    return isinstance(av, str) and isinstance(bv, str)
+from repro.events.filters import Constraint, Filter, Op, _comparable
 
 
 def constraint_covers(a: Constraint, b: Constraint) -> bool:
@@ -46,13 +30,18 @@ def constraint_covers(a: Constraint, b: Constraint) -> bool:
     a_str = isinstance(av, str)
     b_str = isinstance(bv, str)
 
+    # ``Constraint.matches`` only ever compares within a family, but raw
+    # ``==``/``!=`` on the constraint values folds ``True`` into ``1`` —
+    # without the ``_comparable`` guard ``[x != -1]`` would claim to cover
+    # ``[x = False]`` while matching no bool at all, an unsound ``True``
+    # that covering suppression would turn into lost subscriptions.
     if a.op is Op.EQ:
-        return b.op is Op.EQ and _same_family(av, bv) and av == bv
+        return b.op is Op.EQ and _comparable(av, bv) and av == bv
     if a.op is Op.NE:
         if b.op is Op.NE:
-            return _same_family(av, bv) and av == bv
+            return _comparable(av, bv) and av == bv
         if b.op is Op.EQ:
-            return _same_family(av, bv) and av != bv
+            return _comparable(av, bv) and av != bv
         if a_num and b_num:
             # e.g. NE 5 covers LT 5, GT 5; conservative otherwise.
             if b.op is Op.LT:

@@ -5,6 +5,15 @@ Every subscription and every publication flows through one server, which
 matches every notification against every client's filters — experiment E4
 measures that central load against the Siena broker network.
 
+Server and clients speak the shared vocabulary of
+:mod:`repro.events.wire` — ``Subscribe``/``Unsubscribe``,
+``Publish``/``PublishBatch`` (``pub_id`` unset: one server has no
+duplicates to suppress), ``Notify``/``NotifyBatch`` — and this module
+defines only the three messages no broker has: the subscription batch
+and the quench pair.  Quench snapshots partition subscriptions by
+:func:`repro.events.filters.pinned_subject`, the same subject rendezvous
+keys and shard ownership use.
+
 The server keeps its subscriptions in the same link-less
 :class:`~repro.events.table.FilterTable` a broker uses and asks it who is
 interested — through the counting
@@ -23,36 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.events.filters import Filter, Op
+from repro.events.filters import Filter, canonical_subject, pinned_subject
 from repro.events.model import Notification
-from repro.events.rendezvous import canonical_subject
 from repro.events.table import FilterTable
+from repro.events.wire import (
+    Notify,
+    NotifyBatch,
+    Publish,
+    PublishBatch,
+    Subscribe,
+    Unsubscribe,
+)
 from repro.net.geo import Position
 from repro.net.host import Host
 from repro.net.network import Address, Network
 from repro.simulation import Simulator
-
-
-@dataclass
-class ElvinSubscribe:
-    filter: Filter
-
-
-@dataclass
-class ElvinUnsubscribe:
-    filter: Filter
-
-
-@dataclass
-class ElvinPublish:
-    notification: Notification
-
-
-@dataclass
-class ElvinPublishBatch:
-    """A burst of publications in one wire message, in publish order."""
-
-    notifications: tuple
 
 
 @dataclass
@@ -88,18 +82,6 @@ class ElvinQuench:
     any_wildcard: bool
 
 
-@dataclass
-class ElvinNotify:
-    notification: Notification
-
-
-@dataclass
-class ElvinNotifyBatch:
-    """A burst of deliveries to one client in one wire message."""
-
-    notifications: tuple
-
-
 class ElvinServer(Host):
     """The single server every client talks to."""
 
@@ -113,8 +95,8 @@ class ElvinServer(Host):
     ):
         super().__init__(sim, network, position)
         self.indexed = indexed
-        # Batched fast path: an ElvinPublishBatch burst is matched in one
-        # table query and each client receives one ElvinNotifyBatch.
+        # Batched fast path: a PublishBatch burst is matched in one
+        # table query and each client receives one NotifyBatch.
         # Off, bursts unbundle through the one-at-a-time path with
         # identical deliveries.
         self.batched = batched
@@ -122,7 +104,7 @@ class ElvinServer(Host):
         # to forward to): by-source filter lists plus the counting index
         # behind :meth:`FilterTable.interested`.
         self.table = FilterTable(
-            self.addr, frozenset(), self.send, ElvinSubscribe, ElvinUnsubscribe,
+            self.addr, frozenset(), self.send, Subscribe, Unsubscribe,
             indexed=indexed, covering_enabled=False,
         )
         self.subscriptions: dict[Address, list[Filter]] = self.table.by_source
@@ -139,25 +121,15 @@ class ElvinServer(Host):
     def _quench_snapshot(self) -> ElvinQuench:
         """The current suppression snapshot over all subscriptions.
 
-        Mirrors the rendezvous layer's ``filter_key`` logic: a ``type``
-        equality constraint pins the only subject a filter can match, so
-        it contributes that canonical value; any filter without one
+        A filter contributes the subject it pins; one that pins none
         could match anything and raises ``any_wildcard``.
         """
-        types: set[str] = set()
-        any_wildcard = False
-        for filters in self.subscriptions.values():
-            for filter in filters:
-                pinned = None
-                for constraint in filter.constraints:
-                    if constraint.name == "type" and constraint.op is Op.EQ:
-                        pinned = canonical_subject(constraint.value)
-                        break
-                if pinned is None:
-                    any_wildcard = True
-                else:
-                    types.add(pinned)
-        return ElvinQuench(frozenset(types), any_wildcard)
+        pinned = {
+            pinned_subject(filter)
+            for filters in self.subscriptions.values()
+            for filter in filters
+        }
+        return ElvinQuench(frozenset(pinned - {None}), None in pinned)
 
     def _push_quench(self) -> None:
         """Push the snapshot to opted-in publishers if it changed."""
@@ -175,8 +147,8 @@ class ElvinServer(Host):
         """Match ``notifications`` in one table query and deliver them.
 
         Every client receives its matched subset in publish order: one
-        :class:`ElvinNotify` per notification, or — ``batch`` — a single
-        :class:`ElvinNotifyBatch`.  Publishers hear their own events.
+        :class:`Notify` per notification, or — ``batch`` — a single
+        :class:`NotifyBatch`.  Publishers hear their own events.
         """
         self.notifications_processed += len(notifications)
         index = self.table.index
@@ -195,20 +167,20 @@ class ElvinServer(Host):
             if batch:
                 self.send(
                     client,
-                    ElvinNotifyBatch(tuple(group)),
+                    NotifyBatch(tuple(group)),
                     size_bytes=sum(n.size_bytes() for n in group),
                 )
             else:
                 for notification in group:
                     self.send(
-                        client, ElvinNotify(notification), size_bytes=notification.size_bytes()
+                        client, Notify(notification), size_bytes=notification.size_bytes()
                     )
 
     def handle_message(self, src: Address, payload) -> None:
-        if isinstance(payload, ElvinSubscribe):
+        if isinstance(payload, Subscribe):
             self.table.store(src, payload.filter)
             self._push_quench()
-        elif isinstance(payload, ElvinUnsubscribe):
+        elif isinstance(payload, Unsubscribe):
             self.table.remove(src, payload.filter)
             self._push_quench()
         elif isinstance(payload, ElvinSubscribeBatch):
@@ -225,13 +197,13 @@ class ElvinServer(Host):
             self._last_quench = snapshot
             self.quench_pushes += 1
             self.send(src, snapshot, size_bytes=64 + 16 * len(snapshot.types))
-        elif isinstance(payload, ElvinPublish):
+        elif isinstance(payload, Publish):
             self._publish((payload.notification,), False)
-        elif isinstance(payload, ElvinPublishBatch):
+        elif isinstance(payload, PublishBatch):
             if self.batched:
-                self._publish(payload.notifications, True)
+                self._publish([notification for notification, _ in payload.items], True)
             else:
-                for notification in payload.notifications:
+                for notification, _ in payload.items:
                     self._publish((notification,), False)
         else:
             raise TypeError(f"unknown elvin message: {payload!r}")
@@ -258,10 +230,10 @@ class ElvinClient(Host):
         self.quenched = 0
 
     def subscribe(self, filter: Filter) -> None:
-        self.send(self.server_addr, ElvinSubscribe(filter), size_bytes=128)
+        self.send(self.server_addr, Subscribe(filter), size_bytes=128)
 
     def unsubscribe(self, filter: Filter) -> None:
-        self.send(self.server_addr, ElvinUnsubscribe(filter), size_bytes=128)
+        self.send(self.server_addr, Unsubscribe(filter), size_bytes=128)
 
     def subscribe_batch(self, subscribes: list, unsubscribes: list = ()) -> None:
         """Apply several subscription changes as one wire message."""
@@ -288,9 +260,7 @@ class ElvinClient(Host):
         if not self._wants(notification):
             self.quenched += 1
             return
-        self.send(
-            self.server_addr, ElvinPublish(notification), size_bytes=notification.size_bytes()
-        )
+        self.send(self.server_addr, Publish(notification), size_bytes=notification.size_bytes())
 
     def publish_batch(self, notifications: list) -> None:
         """Publish a burst as one wire message, quenching dead traffic."""
@@ -300,18 +270,18 @@ class ElvinClient(Host):
             return
         self.send(
             self.server_addr,
-            ElvinPublishBatch(tuple(wanted)),
+            PublishBatch(tuple((n, None) for n in wanted)),
             size_bytes=sum(n.size_bytes() for n in wanted),
         )
 
     def handle_message(self, src: Address, payload) -> None:
         if isinstance(payload, ElvinQuench):
             self.quench = payload
-        elif isinstance(payload, ElvinNotify):
+        elif isinstance(payload, Notify):
             self.received.append((self.sim.now, payload.notification))
             for handler in list(self.handlers):
                 handler(payload.notification)
-        elif isinstance(payload, ElvinNotifyBatch):
+        elif isinstance(payload, NotifyBatch):
             for notification in payload.notifications:
                 self.received.append((self.sim.now, notification))
                 for handler in list(self.handlers):

@@ -104,11 +104,11 @@ class Constraint:
             self.name == other.name
             and self.op is other.op
             and self.value == other.value
-            and _family_tag(self.value) == _family_tag(other.value)
+            and family(self.value) == family(other.value)
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.op, _family_tag(self.value), self.value))
+        return hash((self.name, self.op, family(self.value), self.value))
 
     def __post_init__(self) -> None:
         if self.op is Op.EXISTS:
@@ -174,15 +174,41 @@ def _comparable(a: Any, b: Any) -> bool:
     return isinstance(a, str) and isinstance(b, str)
 
 
-def _family_tag(value: Any) -> str:
-    """The comparison-family tag used in constraint identity ('' = no value)."""
-    if value is None:
-        return ""
+def family(value: Any) -> str:
+    """The comparison family of one value: ``"b"``, ``"n"`` or ``"s"``.
+
+    Booleans compare only with booleans, numbers with numbers, strings
+    with strings; tagging constraint identity, index bucket keys and
+    subject keys with the family keeps ``1`` from colliding with
+    ``True`` (equal hashes, different families).  A valueless EXISTS
+    constraint's ``None`` lands in ``"s"``; its operator keeps it apart.
+    """
     if isinstance(value, bool):
         return "b"
     if isinstance(value, (int, float)):
         return "n"
     return "s"
+
+
+def canonical_subject(value: Any) -> str:
+    """A family-tagged canonical form of one subject value.
+
+    Mirrors the matching fabric's equality exactly: booleans are their
+    own family (``True`` matches neither ``1`` nor ``1.0``), numerics
+    collapse to their float repr (``1`` and ``1.0`` match the same
+    events, so they must share a key), and strings are themselves.
+    """
+    tag = family(value)
+    if tag == "n":
+        try:
+            return f"n:{float(value)!r}"
+        except OverflowError:
+            # An int beyond float range: no float can equal it, so its
+            # exact repr is a stable (and collision-safe) fallback.
+            return f"n:int:{value!r}"
+    if tag == "b":
+        return f"b:{value!r}"
+    return f"s:{value}"
 
 
 class Filter:
@@ -213,6 +239,22 @@ class Filter:
 
     def __repr__(self) -> str:
         return "Filter(" + " & ".join(repr(c) for c in self.constraints) + ")"
+
+
+def pinned_subject(filter: Filter, attr: str = "type") -> str | None:
+    """The canonical subject ``filter`` pins on ``attr``, else ``None``.
+
+    An equality constraint on the subject attribute pins the only
+    subject the filter can match — what rendezvous keys, shard ownership
+    and Elvin's quench snapshot all partition by; ``None`` marks a
+    wildcard that could match any subject.  A filter with several such
+    equalities can only match events satisfying all of them, so any one
+    of them is a sound (conservative) pick.
+    """
+    for constraint in filter.constraints:
+        if constraint.name == attr and constraint.op is Op.EQ:
+            return canonical_subject(constraint.value)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +441,7 @@ def constraints_satisfiable(constraints: Iterable[Constraint]) -> bool:
     for c in group:
         if c.op is Op.EXISTS:
             continue
-        families &= {"s"} if c.op in _STRING_OPS else {_family_tag(c.value)}
+        families &= {"s"} if c.op in _STRING_OPS else {family(c.value)}
     if "b" in families and _bool_satisfiable(group):
         return True
     if "n" in families and _numeric_satisfiable(group):
@@ -415,7 +457,7 @@ def _signature(filter: Filter) -> frozenset:
     plain value tuples rather than retaining ``Filter`` objects.
     """
     return frozenset(
-        (c.name, c.op, _family_tag(c.value), c.value) for c in filter.constraints
+        (c.name, c.op, family(c.value), c.value) for c in filter.constraints
     )
 
 

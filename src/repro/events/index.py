@@ -74,26 +74,13 @@ from repro.events.filters import (
     Constraint,
     Filter,
     Op,
+    family as _family,
     filter_satisfiable,
     filters_intersect,
 )
 from repro.events.model import Notification
 
 _RANGE_OPS = (Op.LT, Op.LE, Op.GT, Op.GE)
-
-
-def _family(value: Any) -> str:
-    """The comparison type family, mirroring ``filters._comparable``.
-
-    Booleans compare only with booleans, numbers with numbers, strings
-    with strings; tagging bucket keys with the family keeps ``1`` from
-    colliding with ``True`` (equal hashes, different families).
-    """
-    if isinstance(value, bool):
-        return "b"
-    if isinstance(value, (int, float)):
-        return "n"
-    return "s"
 
 
 class _Thresholds:
@@ -661,10 +648,8 @@ def _constraint_bit(constraint: Constraint) -> int:
     """The presence bit a constraint contributes to its name's mask."""
     if constraint.op is Op.EXISTS:
         return _EXISTS_BIT
-    from repro.events.filters import _family_tag
-
     return 1 << (
-        _OP_SLOT[constraint.op] * 3 + _FAMILY_SLOT[_family_tag(constraint.value)]
+        _OP_SLOT[constraint.op] * 3 + _FAMILY_SLOT[_family(constraint.value)]
     )
 
 
@@ -682,9 +667,7 @@ def _cover_needs(constraint: Constraint) -> int:
     op = constraint.op
     if op is Op.EXISTS:
         return _ALL_BITS
-    from repro.events.filters import _family_tag
-
-    fam = _family_tag(constraint.value)
+    fam = _family(constraint.value)
     if op is Op.EQ:
         return _bit(Op.EQ, fam)
     if op is Op.NE:

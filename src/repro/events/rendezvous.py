@@ -20,10 +20,13 @@ Key derivation (the contract the dedup property suite pins):
 * a publication routes to its subject key (when it carries a ``type``
   attribute) **and** to the wildcard key, so wildcard subscribers see
   typed traffic too;
-* subject values are canonicalised family-first (bool / numeric /
-  string, matching :func:`repro.events.filters._family_tag`) so
-  ``1 == 1.0`` hashes identically while ``True`` never collides with
-  ``1`` — exactly the equality the matching fabric applies;
+* which subject a filter pins, and its canonical family-first form
+  (bool / numeric / string, so ``1 == 1.0`` hashes identically while
+  ``True`` never collides with ``1`` — exactly the equality the
+  matching fabric applies), are :func:`repro.events.filters.
+  pinned_subject` and :func:`~repro.events.filters.canonical_subject`:
+  shard ownership and Elvin's quench partition by the same two
+  functions, this module only hashes their result to a key;
 * advertisements route to the subject key, falling back to the filter
   *signature* key for untyped shapes, and are stored at the root as a
   discovery registry.
@@ -49,7 +52,8 @@ Membership has two regimes:
   exchange lossless at test scale.
 * **Fleet scale** (bench_e5's scale phase): ``build_dht_fleet`` in
   :mod:`repro.events.broker` pre-populates leaf sets and prefix tables
-  from global knowledge — the converged state Pastry's join protocol
+  from global knowledge (:func:`repro.overlay.node_state.
+  fill_converged`) — the converged state Pastry's join protocol
   maintains with O(log N) entries — and the directory stays empty, so
   the measured per-broker state is the honest Pastry footprint.
 
@@ -63,11 +67,11 @@ leaf-set-repair-as-heal-path the roadmap asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.events.failure import OriginFloorCache
-from repro.events.filters import Filter, Op, _family_tag, _signature
+from repro.events.filters import Filter, _signature, canonical_subject, pinned_subject
 from repro.ids import Guid, guid_from_name
 from repro.net.network import Address
 from repro.overlay.api import NodeDescriptor
@@ -95,33 +99,11 @@ CHILD_TTL = 3.5 * REFRESH_INTERVAL
 # ----------------------------------------------------------------------
 # Key derivation
 # ----------------------------------------------------------------------
-def canonical_subject(value: Any) -> str:
-    """A family-tagged canonical form of one subject value.
-
-    Mirrors the matching fabric's equality exactly: booleans are their
-    own family (``True`` matches neither ``1`` nor ``1.0``), numerics
-    collapse to their float repr (``1`` and ``1.0`` match the same
-    events, so they must share a key), and strings are themselves.
-    """
-    tag = _family_tag(value)
-    if tag == "n":
-        try:
-            return f"n:{float(value)!r}"
-        except OverflowError:
-            # An int beyond float range: no float can equal it, so its
-            # exact repr is a stable (and collision-safe) fallback.
-            return f"n:int:{value!r}"
-    if tag == "b":
-        return f"b:{value!r}"
-    return f"s:{value}"
-
-
 _subject_key_cache: dict[str, Guid] = {}
 
 
-def subject_key(value: Any) -> Guid:
-    """The rendezvous key of one event subject (``type`` value)."""
-    canon = canonical_subject(value)
+def _canon_key(canon: str) -> Guid:
+    """The rendezvous key of one canonical subject string."""
     key = _subject_key_cache.get(canon)
     if key is None:
         key = guid_from_name(f"rv:subject:{canon}")
@@ -129,22 +111,19 @@ def subject_key(value: Any) -> Guid:
     return key
 
 
+def subject_key(value: Any) -> Guid:
+    """The rendezvous key of one event subject (``type`` value)."""
+    return _canon_key(canonical_subject(value))
+
+
 WILDCARD_KEY = guid_from_name("rv:wildcard")
 
 
 def filter_key(filter: Filter) -> Guid:
-    """The key a subscription with this filter joins.
-
-    A ``type`` equality constraint pins the only subject the filter can
-    match, so it joins that subject's tree; anything else joins the
-    wildcard tree.  A filter with several ``type`` equalities can only
-    match events satisfying all of them, so any one of them is a sound
-    (conservative) pick.
-    """
-    for constraint in filter.constraints:
-        if constraint.name == "type" and constraint.op is Op.EQ:
-            return subject_key(constraint.value)
-    return WILDCARD_KEY
+    """The key a subscription with this filter joins: the tree of the
+    subject it pins, or the wildcard tree when it pins none."""
+    canon = pinned_subject(filter)
+    return WILDCARD_KEY if canon is None else _canon_key(canon)
 
 
 def signature_key(filter: Filter) -> Guid:
@@ -163,10 +142,8 @@ def signature_key(filter: Filter) -> Guid:
 
 def advert_key(filter: Filter) -> Guid:
     """The discovery root for one advertised filter."""
-    for constraint in filter.constraints:
-        if constraint.name == "type" and constraint.op is Op.EQ:
-            return subject_key(constraint.value)
-    return signature_key(filter)
+    canon = pinned_subject(filter)
+    return signature_key(filter) if canon is None else _canon_key(canon)
 
 
 def publication_keys(notification: "Notification") -> tuple[Guid, ...]:
@@ -207,7 +184,6 @@ class RvJoin:
     the timestamps double as the tree's liveness signal."""
 
     key: Guid
-    member: Address
     hops: int = 0
 
 
@@ -249,13 +225,6 @@ class RvUnadvertise:
     hops: int = 0
 
 
-@dataclass(slots=True)
-class _KeyState:
-    """Per-key tree state held by one broker (root or forwarder)."""
-
-    children: dict = field(default_factory=dict)  # child addr -> last join time
-
-
 class RendezvousEngine:
     """Per-broker rendezvous state machine (one per ``routing="dht"`` broker).
 
@@ -265,23 +234,21 @@ class RendezvousEngine:
     owning :class:`~repro.events.broker.BrokerNode` delegates here
     instead of flooding: subscriptions join their subject key's tree,
     advertisements register at the key's root, publications route
-    point-to-point toward the root and fan down the tree.
+    point-to-point toward the root and fan down the tree.  Inbound
+    ``Rv*`` messages arrive through the broker's own dispatch table,
+    which takes :meth:`handlers` at construction.
 
-    Knob: ``leaf_size`` (default ``8``) is the Pastry leaf-set radius —
-    larger tolerates more simultaneous adjacent failures at more state
-    per broker.  The flooding ablation is simply ``routing="flood"`` on
-    the broker; E5's ``dht_scale`` phase prices the two against each
-    other.
+    The flooding ablation is simply ``routing="flood"`` on the broker;
+    E5's ``dht_scale`` phase prices the two against each other.
     """
 
-    def __init__(self, broker: "BrokerNode", leaf_size: int = 8):
+    def __init__(self, broker: "BrokerNode"):
         self.broker = broker
         self.sim = broker.sim
         self.network = broker.network
         self.guid = guid_from_name(f"rv:node:{int(broker.addr)}")
         self.descriptor = NodeDescriptor(self.guid, broker.addr, broker.position)
-        self.leaf_size = leaf_size
-        self.leaf = LeafSet(self.descriptor, size=leaf_size)
+        self.leaf = LeafSet(self.descriptor)
         self.table = RoutingTable(self.descriptor)
         # Every live member of our component, keyed by address — the
         # lossless bookkeeping behind snapshot exchange.  Empty on
@@ -295,8 +262,9 @@ class RendezvousEngine:
         self.local_keys: dict[Guid, int] = {}
         # Locally advertised shapes, re-registered on every refresh.
         self.local_adverts: dict[tuple[Address, Filter], Guid] = {}
-        # Tree state per key (children recorded from join paths).
-        self.trees: dict[Guid, _KeyState] = {}
+        # Tree state per key, held as root or forwarder: the children
+        # recorded from join paths, child addr -> last join time.
+        self.trees: dict[Guid, dict[Address, float]] = {}
         # Advert registry held while we are a key's root.
         self.root_adverts: dict[Guid, set[tuple[Address, Filter]]] = {}
         # Per-key forwarding dedup for multicasts (loops under churn).
@@ -456,17 +424,17 @@ class RendezvousEngine:
     def on_advertise(self, source: Address, filter: Filter) -> None:
         key = advert_key(filter)
         self.local_adverts[(source, filter)] = key
-        self._route_advert(RvAdvertise(key, self.broker.addr, filter))
+        self._route_advert(None, RvAdvertise(key, self.broker.addr, filter))
 
     def on_unadvertise(self, source: Address, filter: Filter) -> None:
         key = self.local_adverts.pop((source, filter), None)
         if key is not None:
-            self._route_advert(RvUnadvertise(key, self.broker.addr, filter))
+            self._route_advert(None, RvUnadvertise(key, self.broker.addr, filter))
 
     def _graft(self, key: Guid) -> None:
         nxt = self.next_hop(key)
         if nxt is not None:
-            self.broker._send_control(nxt, RvJoin(key, self.broker.addr, 1))
+            self.broker._send_control(nxt, RvJoin(key, 1))
 
     def regraft(self) -> None:
         """Re-route every local interest end to end.
@@ -479,27 +447,29 @@ class RendezvousEngine:
         for key in self.local_keys:
             self._graft(key)
         for (_, filter), key in self.local_adverts.items():
-            self._route_advert(
-                RvAdvertise(key, self.broker.addr, filter)
-            )
+            self._route_advert(None, RvAdvertise(key, self.broker.addr, filter))
 
     def _handle_join(self, src: Address, msg: RvJoin) -> None:
-        state = self.trees.setdefault(msg.key, _KeyState())
-        state.children[src] = self.sim.now
+        self.trees.setdefault(msg.key, {})[src] = self.sim.now
         nxt = self.next_hop(msg.key)
         if nxt is not None and nxt != src and msg.hops < RV_HOP_LIMIT:
-            self.broker._send_control(
-                nxt, RvJoin(msg.key, msg.member, msg.hops + 1)
-            )
+            self.broker._send_control(nxt, RvJoin(msg.key, msg.hops + 1))
 
     # ------------------------------------------------------------------
     # Advertisement registry
     # ------------------------------------------------------------------
-    def _route_advert(self, msg: RvAdvertise | RvUnadvertise) -> None:
+    def _route_advert(
+        self, src: Address | None, msg: RvAdvertise | RvUnadvertise
+    ) -> None:
+        """One step toward ``msg.key``'s root, where it registers.
+
+        ``src`` is the hop it arrived from, ``None`` when it originates
+        here; never bounced back to ``src``, dropped at the hop limit.
+        """
         nxt = self.next_hop(msg.key)
         if nxt is None:
             self._register_advert(msg)
-        else:
+        elif nxt != src and msg.hops < RV_HOP_LIMIT:
             self.broker._send_control(
                 nxt, type(msg)(msg.key, msg.advertiser, msg.filter, msg.hops + 1)
             )
@@ -514,15 +484,6 @@ class RendezvousEngine:
             registry.discard(entry)
             if not registry:
                 del self.root_adverts[msg.key]
-
-    def _handle_advert(self, src: Address, msg: RvAdvertise | RvUnadvertise) -> None:
-        nxt = self.next_hop(msg.key)
-        if nxt is None:
-            self._register_advert(msg)
-        elif nxt != src and msg.hops < RV_HOP_LIMIT:
-            self.broker._send_control(
-                nxt, type(msg)(msg.key, msg.advertiser, msg.filter, msg.hops + 1)
-            )
 
     # ------------------------------------------------------------------
     # Publication flow
@@ -572,15 +533,15 @@ class RendezvousEngine:
             self._mcast_seen[key] = seen
         if seen.seen(pub_id, self.sim.now):
             return
-        state = self.trees.get(key)
-        if state is None or hops >= RV_HOP_LIMIT:
+        children = self.trees.get(key)
+        if children is None or hops >= RV_HOP_LIMIT:
             return
         size = notification.size_bytes()
-        for child in list(state.children):
+        for child in list(children):
             if child == exclude or child in self.unreachable:
                 continue
             if not self._is_live(child):
-                del state.children[child]
+                del children[child]
                 continue
             self.broker.send(
                 child,
@@ -595,11 +556,11 @@ class RendezvousEngine:
         if not self.broker.alive:
             return
         now = self.sim.now
-        for key, state in list(self.trees.items()):
-            for child, stamp in list(state.children.items()):
+        for key, children in list(self.trees.items()):
+            for child, stamp in list(children.items()):
                 if now - stamp > CHILD_TTL or not self._is_live(child):
-                    del state.children[child]
-            if not state.children:
+                    del children[child]
+            if not children:
                 del self.trees[key]
         for key in list(self.root_adverts):
             if not self.is_root(key):
@@ -619,7 +580,7 @@ class RendezvousEngine:
         """
         self.directory.clear()
         self.unreachable.clear()
-        self.leaf = LeafSet(self.descriptor, size=self.leaf_size)
+        self.leaf = LeafSet(self.descriptor)
         self.table = RoutingTable(self.descriptor)
         self.trees.clear()
         self.root_adverts.clear()
@@ -640,24 +601,18 @@ class RendezvousEngine:
             + len(self.directory)
             + len(self.local_keys)
             + len(self.local_adverts)
-            + sum(len(state.children) for state in self.trees.values())
+            + sum(len(children) for children in self.trees.values())
             + sum(len(entries) for entries in self.root_adverts.values())
         )
 
-    def handle(self, src: Address, payload) -> bool:
-        """Dispatch one rendezvous message; False if it is not ours."""
-        if isinstance(payload, RvPublish):
-            self._handle_publish(src, payload)
-        elif isinstance(payload, RvMulticast):
-            self._handle_multicast(src, payload)
-        elif isinstance(payload, RvJoin):
-            self._handle_join(src, payload)
-        elif isinstance(payload, RvHello):
-            self._handle_hello(src, payload)
-        elif isinstance(payload, RvAnnounce):
-            self._handle_announce(src, payload)
-        elif isinstance(payload, (RvAdvertise, RvUnadvertise)):
-            self._handle_advert(src, payload)
-        else:
-            return False
-        return True
+    def handlers(self) -> dict[type, Callable[[Address, Any], None]]:
+        """The ``Rv*`` dispatch entries a dht broker adds to its own."""
+        return {
+            RvPublish: self._handle_publish,
+            RvMulticast: self._handle_multicast,
+            RvJoin: self._handle_join,
+            RvHello: self._handle_hello,
+            RvAnnounce: self._handle_announce,
+            RvAdvertise: self._route_advert,
+            RvUnadvertise: self._route_advert,
+        }

@@ -12,8 +12,9 @@ publication visits **exactly one** shard:
 
 * A filter that pins the partition attribute with an ``EQ`` constraint
   is stored only on the owner shard of that value (consistent hashing
-  over :func:`~repro.events.rendezvous.canonical_subject`, so ``2`` and
-  ``2.0`` land together exactly as matching equality folds them).
+  over :func:`~repro.events.filters.pinned_subject`, the canonical form
+  rendezvous keys also hash, so ``2`` and ``2.0`` land together exactly
+  as matching equality folds them).
 * Every other filter — no partition constraint, or a non-``EQ`` one —
   is a *wildcard* with respect to the partition and is replicated to
   all shards.  Replication is the correctness backstop: whichever shard
@@ -55,10 +56,9 @@ from repro.events.wire import (
     Subscribe,
     Unsubscribe,
 )
-from repro.events.filters import Filter, Op
+from repro.events.filters import Filter, canonical_subject, pinned_subject
 from repro.events.index import PredicateIndex
 from repro.events.model import Notification
-from repro.events.rendezvous import canonical_subject
 
 Address = Hashable
 
@@ -130,15 +130,10 @@ class ShardPlan:
 
         ``None`` means "replicate to every shard": the filter has no
         ``EQ`` constraint on the partition attribute, so it could match
-        events routed to any shard.  A filter with *several* partition
-        equalities can only match events satisfying all of them, so any
-        one pins a sound owner (mirrors ``rendezvous.filter_key``).
+        events routed to any shard.
         """
-        name = self.partition_attr
-        for constraint in filter.constraints:
-            if constraint.name == name and constraint.op is Op.EQ:
-                return self.owner(canonical_subject(constraint.value))
-        return None
+        canon = pinned_subject(filter, self.partition_attr)
+        return None if canon is None else self.owner(canon)
 
     def home(self, client: Address) -> int:
         """The shard responsible for delivering to ``client``.
@@ -473,18 +468,17 @@ class FleetClient:
 def build_shard_fleet(
     plan: ShardPlan,
     send: SendFn,
-    router_addr: Address = "router",
-    shard_addr: Callable[[int], Address] = "shard-{}".format,
 ) -> tuple[ShardRouter, list[ShardEndpoint]]:
     """Wire a router and its shard endpoints over one ``send`` callable.
 
     The caller registers each returned component's ``handle`` with its
-    transport under the matching address.
+    transport under the matching address: ``"router"`` and
+    ``"shard-<id>"``, the names every socket worker dials.
     """
-    shard_addrs = {sid: shard_addr(sid) for sid in range(plan.n_shards)}
+    shard_addrs = {sid: f"shard-{sid}" for sid in range(plan.n_shards)}
     shards = [
         ShardEndpoint(sid, plan, shard_addrs[sid], send, shard_addrs)
         for sid in range(plan.n_shards)
     ]
-    router = ShardRouter(plan, router_addr, send, shard_addrs)
+    router = ShardRouter(plan, "router", send, shard_addrs)
     return router, shards

@@ -1,4 +1,4 @@
-"""Subscription and advertisement records kept by brokers."""
+"""The subscription record kept by brokers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from repro.events.filters import Filter
 
 _sub_counter = itertools.count(1)
-_adv_counter = itertools.count(1)
 
 
 def next_subscription_id() -> int:
@@ -26,16 +25,3 @@ class Subscription:
     @classmethod
     def fresh(cls, filter: Filter, subscriber: object) -> "Subscription":
         return cls(next_subscription_id(), filter, subscriber)
-
-
-@dataclass(frozen=True, slots=True)
-class Advertisement:
-    """A producer's declaration of the notifications it will publish (§3)."""
-
-    adv_id: int
-    filter: Filter
-    advertiser: object
-
-    @classmethod
-    def fresh(cls, filter: Filter, advertiser: object) -> "Advertisement":
-        return cls(next(_adv_counter), filter, advertiser)

@@ -9,15 +9,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.events.model import Notification, make_event
-from repro.net.geo import WORLD_REGIONS, Position
+from repro.net.geo import Position, region_of
 from repro.simulation import PeriodicTask, Simulator
-
-
-def region_of(position: Position) -> str:
-    for region in WORLD_REGIONS:
-        if region.contains(position):
-            return region.name
-    return "other"
 
 
 class ResourceAdvertiser:

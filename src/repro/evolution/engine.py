@@ -18,6 +18,10 @@ Two repair shapes exist:
   (:class:`~repro.events.mobility.ServiceHandoff`), then undeploy the
   original via Cingal.
 
+The shapes differ only in how they pick nodes: a migration is a
+deployment that replaces one, so both push through the same
+``_fire``/``_on_fired`` pair.
+
 Shortfalls the engine could not repair (no template, not enough live
 candidates, a refused deployment) are tracked *per constraint* and cleared
 the moment the constraint evaluates clean again — so one historic shortfall
@@ -221,38 +225,76 @@ class EvolutionEngine:
         if violation.migrate_from is not None:
             self._repair_migration(violation, cause)
             return
-        template = self.templates.get(violation.component_type)
-        if template is None:
+        if violation.component_type not in self.templates:
             self._record_shortfall(violation)
             return
         candidates = self._candidates(violation.region, violation.component_type)
         if len(candidates) < violation.missing:
             self._record_shortfall(violation)
         for node in candidates[: violation.missing]:
-            instance = self._next_instance(violation.component_type, node)
-            bundle = self._make_bundle(template, instance)
-            self._in_flight.add(instance)
-            future = self.agent.fire(node.addr, bundle)
-            future.add_callback(
-                lambda fut, inst=instance, n=node, v=violation, c=cause: self._on_deployed(
-                    fut, inst, n, v, c
-                )
-            )
+            self._fire(violation, node, cause)
 
-    def _next_instance(self, component_type: str, node: NodeView) -> str:
-        return f"{component_type}-{next(self._instance_counter)}@{node.node_id}"
+    def _repair_migration(self, violation: Violation, cause: str) -> None:
+        """Load-driven migration (the paper's active adaptation loop)."""
+        old = self.state.get(violation.migrate_from)
+        if old is None or not old.alive or old.instance_name in self._migrating:
+            return
+        last = self._last_migration.get(violation.component_type)
+        if last is not None and self.sim.now - last < self.migration_cooldown_s:
+            return  # let the previous move's metrics settle first
+        if violation.component_type not in self.templates:
+            self._record_shortfall(violation)
+            return
+        candidates = self._candidates(
+            violation.region, violation.component_type, rank="freshness"
+        )
+        if not candidates:
+            self._record_shortfall(violation)
+            return
+        self._fire(violation, candidates[0], cause, replacing=old)
 
-    def _make_bundle(self, template: BundleTemplate, instance: str):
-        return make_bundle(
+    def _fire(
+        self,
+        violation: Violation,
+        node: NodeView,
+        cause: str,
+        replacing: Deployment | None = None,
+    ) -> None:
+        """Push one instance of the violated component type to ``node``.
+
+        A migration is a deployment that replaces one: ``replacing`` is
+        the deployment :meth:`_on_fired` tears down once the new instance
+        is up.
+        """
+        template = self.templates[violation.component_type]
+        instance = f"{violation.component_type}-{next(self._instance_counter)}@{node.node_id}"
+        bundle = make_bundle(
             name=instance,
             component=template.component,
             params=template.params,
             capabilities=template.capabilities,
             key=self.deploy_key,
         )
+        if replacing is not None:
+            self._migrating.add(replacing.instance_name)
+            self._last_migration[violation.component_type] = self.sim.now
+        self._in_flight.add(instance)
+        self.agent.fire(node.addr, bundle).add_callback(
+            lambda fut: self._on_fired(fut, instance, violation, node, cause, replacing)
+        )
 
-    def _on_deployed(self, fut, instance: str, node, violation: Violation, cause: str) -> None:
+    def _on_fired(
+        self,
+        fut,
+        instance: str,
+        violation: Violation,
+        node: NodeView,
+        cause: str,
+        replacing: Deployment | None,
+    ) -> None:
         self._in_flight.discard(instance)
+        if replacing is not None:
+            self._migrating.discard(replacing.instance_name)
         if fut.exception is not None or not fut.result().ok:
             self._record_shortfall(violation)
             return
@@ -265,6 +307,24 @@ class EvolutionEngine:
             alive=True,
         )
         self.state.record(deployment)
+        if replacing is not None:
+            if self.on_migrate is not None:
+                # Subscription handoff first: the replacement must own the
+                # live event flow before the original is torn down.
+                self.on_migrate(replacing, deployment)
+            self.state.remove(replacing.instance_name)
+            self.agent.undeploy(replacing.addr, replacing.instance_name)
+            self.migrations.append(
+                MigrationRecord(
+                    time=self.sim.now,
+                    component_type=violation.component_type,
+                    old_instance=replacing.instance_name,
+                    old_node=replacing.node_id,
+                    new_instance=instance,
+                    new_node=node.node_id,
+                )
+            )
+            cause = f"{cause}:migrate:{replacing.node_id}->{node.node_id}"
         self.actions.append(
             RepairAction(
                 time=self.sim.now,
@@ -273,83 +333,6 @@ class EvolutionEngine:
                 node_id=node.node_id,
                 region=node.region,
                 cause=cause,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Load-driven migration (the paper's active adaptation loop)
-    # ------------------------------------------------------------------
-    def _repair_migration(self, violation: Violation, cause: str) -> None:
-        old = self.state.get(violation.migrate_from)
-        if old is None or not old.alive or old.instance_name in self._migrating:
-            return
-        last = self._last_migration.get(violation.component_type)
-        if last is not None and self.sim.now - last < self.migration_cooldown_s:
-            return  # let the previous move's metrics settle first
-        template = self.templates.get(violation.component_type)
-        if template is None:
-            self._record_shortfall(violation)
-            return
-        candidates = self._candidates(
-            violation.region, violation.component_type, rank="freshness"
-        )
-        if not candidates:
-            self._record_shortfall(violation)
-            return
-        node = candidates[0]
-        instance = self._next_instance(violation.component_type, node)
-        bundle = self._make_bundle(template, instance)
-        self._migrating.add(old.instance_name)
-        self._last_migration[violation.component_type] = self.sim.now
-        self._in_flight.add(instance)
-        future = self.agent.fire(node.addr, bundle)
-        future.add_callback(
-            lambda fut, o=old, inst=instance, n=node, v=violation, c=cause: self._on_migrated(
-                fut, o, inst, n, v, c
-            )
-        )
-
-    def _on_migrated(
-        self, fut, old: Deployment, instance: str, node, violation: Violation, cause: str
-    ) -> None:
-        self._in_flight.discard(instance)
-        self._migrating.discard(old.instance_name)
-        if fut.exception is not None or not fut.result().ok:
-            self._record_shortfall(violation)
-            return
-        new = Deployment(
-            component_type=violation.component_type,
-            instance_name=instance,
-            node_id=node.node_id,
-            addr=node.addr,
-            region=node.region,
-            alive=True,
-        )
-        self.state.record(new)
-        if self.on_migrate is not None:
-            # Subscription handoff first: the replacement must own the
-            # live event flow before the original is torn down.
-            self.on_migrate(old, new)
-        self.state.remove(old.instance_name)
-        self.agent.undeploy(old.addr, old.instance_name)
-        self.actions.append(
-            RepairAction(
-                time=self.sim.now,
-                component_type=violation.component_type,
-                instance_name=instance,
-                node_id=node.node_id,
-                region=node.region,
-                cause=f"{cause}:migrate:{old.node_id}->{node.node_id}",
-            )
-        )
-        self.migrations.append(
-            MigrationRecord(
-                time=self.sim.now,
-                component_type=violation.component_type,
-                old_instance=old.instance_name,
-                old_node=old.node_id,
-                new_instance=instance,
-                new_node=node.node_id,
             )
         )
 

@@ -11,7 +11,7 @@ backups); correctness never depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.events.model import Notification
 from repro.evolution.advertisement import region_of

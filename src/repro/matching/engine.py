@@ -12,7 +12,6 @@ stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.events.model import Notification
 from repro.knowledge.base import KnowledgeBase

@@ -93,6 +93,12 @@ def region_for(
     return None
 
 
+def region_of(position: Position) -> str:
+    """The name of ``position``'s world region, ``"other"`` outside all."""
+    region = region_for(position)
+    return "other" if region is None else region.name
+
+
 # A handful of world regions used throughout examples and benchmarks.
 SCOTLAND = Region("scotland", 55.0, 58.7, -7.5, -1.8)
 EUROPE = Region("europe", 36.0, 60.0, -10.0, 30.0)

@@ -41,6 +41,10 @@ _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # a malformed prefix must not OOM us
 
 
+class FrameError(ValueError):
+    """The byte stream holds a frame that is not a protocol message."""
+
+
 @dataclass(slots=True)
 class Hello:
     """Transport control: a connecting node announces the addresses it hosts."""
@@ -200,18 +204,30 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> Iterator[tuple[Any, Any, Any]]:
-        """Yield every complete ``(src, dst, message)`` frame so far."""
+        """Yield every complete ``(src, dst, message)`` frame so far.
+
+        Bytes come from outside the process: a frame that does not
+        decode — body not JSON or not ``[src, dst, {...}]``, unknown tag,
+        fields missing or misshapen — raises :class:`FrameError`.  The
+        bad body is consumed first, so the frames behind it are still
+        there for the next ``feed``; an oversize prefix is not — the
+        stream has lost framing and every later ``feed`` raises.
+        """
         self._buffer.extend(data)
         while True:
             if len(self._buffer) < _LEN.size:
                 return
             (size,) = _LEN.unpack_from(self._buffer)
             if size > MAX_FRAME_BYTES:
-                raise ValueError(f"frame of {size} bytes exceeds cap")
+                raise FrameError(f"frame of {size} bytes exceeds cap")
             end = _LEN.size + size
             if len(self._buffer) < end:
                 return
             body = bytes(self._buffer[_LEN.size : end])
             del self._buffer[:end]
-            src, dst, obj = json.loads(body)
-            yield src, dst, decode_message(obj)
+            try:
+                src, dst, obj = json.loads(body)
+                message = decode_message(obj)
+            except (ValueError, LookupError, TypeError) as exc:
+                raise FrameError(f"malformed frame body: {exc!r}") from exc
+            yield src, dst, message

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 from typing import Any, Callable, Dict
 
-from repro.net.serialization import FrameDecoder, Hello, encode_frame
+from repro.net.serialization import FrameDecoder, FrameError, Hello, encode_frame
 
 Address = Any  # JSON scalar (str | int) on this transport
 Handler = Callable[[Address, Any], None]
@@ -40,7 +40,9 @@ class AsyncioTransport:
     handlers): local destinations are queued onto the event loop, remote
     ones are framed onto the owning connection, unknown ones dropped —
     the same silent-drop semantics the simulated network gives a
-    vanished peer.
+    vanished peer.  A connection that sends a frame the codec rejects
+    is closed (``frame_errors`` counts them) and its routes withdrawn,
+    exactly as on EOF; every other connection keeps being served.
     """
 
     def __init__(self, path: str | None = None):
@@ -51,6 +53,7 @@ class AsyncioTransport:
         self._queue: asyncio.Queue | None = None
         self._pump: asyncio.Task | None = None
         self.frames_relayed = 0
+        self.frame_errors = 0
 
     def register(self, addr: Address, handler: Handler) -> None:
         self._handlers[addr] = handler
@@ -105,6 +108,8 @@ class AsyncioTransport:
                     self.send(src, dst, message)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
+        except FrameError:
+            self.frame_errors += 1
         finally:
             for addr in announced:
                 if self._routes.get(addr) is writer:
@@ -152,7 +157,9 @@ async def serve_worker(
     ``build(send)`` constructs the worker's endpoints and returns the
     ``addr -> handler`` map to host; the addresses are announced to the
     hub, which relays matching frames here.  Sends between two endpoints
-    of the same worker short-circuit locally.
+    of the same worker short-circuit locally.  A frame the codec rejects
+    ends the worker: the :class:`~repro.net.serialization.FrameError`
+    propagates to the caller once the connection is closed.
     """
     deadline = asyncio.get_running_loop().time() + connect_timeout
     while True:

@@ -1,4 +1,8 @@
-"""Pastry routing state: the prefix routing table and the leaf set."""
+"""Pastry routing state: the prefix routing table and the leaf set.
+
+:func:`fill_converged` fills both from global knowledge — the one ring
+fill behind ``pastry.fast_build`` and ``broker.build_dht_fleet``.
+"""
 
 from __future__ import annotations
 
@@ -176,3 +180,51 @@ class LeafSet:
             if side:
                 out.append(side[-1])
         return out
+
+
+# Prefix-table rows filled per node by :func:`fill_converged`, and the
+# candidates weighed per slot: enough rows to keep hop counts flat at
+# the benchmarks' fleet sizes without O(N) work per slot.
+CONVERGED_PREFIX_ROWS = 8
+CONVERGED_SLOT_CANDIDATES = 16
+
+
+def fill_converged(states: list[tuple[LeafSet, RoutingTable]]) -> None:
+    """Fill every node's state with what Pastry's join protocol converges to.
+
+    ``states`` holds one ``(leaf set, routing table)`` pair per node, in
+    construction order.  Leaf sets come from the sorted guid ring; each
+    prefix slot takes the geographically closest of the first
+    ``CONVERGED_SLOT_CANDIDATES`` nodes (in construction order) whose id
+    falls in its bucket — O(N log N) overall, so large fleets are built
+    without spending a simulation on joins.
+    """
+    ordered = sorted((leaf for leaf, _ in states), key=lambda leaf: leaf.owner.guid.value)
+    total = len(ordered)
+    for index, leaf in enumerate(ordered):
+        for offset in range(1, min(leaf.size // 2, total - 1) + 1):
+            leaf.add(ordered[(index + offset) % total].owner)
+            leaf.add(ordered[(index - offset) % total].owner)
+
+    by_prefix: dict[str, list[NodeDescriptor]] = {}
+    for _, table in states:
+        hex_id = table.owner.guid.hex
+        for depth in range(1, CONVERGED_PREFIX_ROWS + 1):
+            by_prefix.setdefault(hex_id[:depth], []).append(table.owner)
+
+    for _, table in states:
+        owner = table.owner
+        hex_id = owner.guid.hex
+        for row in range(CONVERGED_PREFIX_ROWS):
+            own_digit = owner.guid.digit(row)
+            for col in range(DIGIT_BASE):
+                if col == own_digit:
+                    continue
+                candidates = by_prefix.get(hex_id[:row] + f"{col:x}")
+                if candidates:
+                    table.add(
+                        min(
+                            candidates[:CONVERGED_SLOT_CANDIDATES],
+                            key=lambda c: haversine_km(owner.position, c.position),
+                        )
+                    )

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.ids import GUID_DIGITS, Guid, random_guid
+from repro.ids import Guid, random_guid
 from repro.net.geo import WORLD_REGIONS, Position
 from repro.net.host import Host
 from repro.net.network import Address, Network
 from repro.overlay.api import NodeDescriptor, OverlayApplication, RouteContext
-from repro.overlay.node_state import LeafSet, RoutingTable
+from repro.overlay.node_state import LeafSet, RoutingTable, fill_converged
 from repro.simulation import PeriodicTask, Simulator
 
 
@@ -372,54 +372,20 @@ def build_overlay(
     return nodes
 
 
-def fast_build(
-    sim: Simulator,
-    network: Network,
-    count: int,
-    leaf_size: int = 8,
-    prefix_depth: int = 8,
-) -> list[PastryNode]:
+def fast_build(sim: Simulator, network: Network, count: int) -> list[PastryNode]:
     """Construct a converged overlay from global knowledge.
 
     Produces the same routing state the join protocol converges to (tests
-    validate the equivalence on small networks) at O(N log N) cost, so the
+    validate the equivalence on small networks) at O(N log N) cost
+    (:func:`~repro.overlay.node_state.fill_converged`), so the
     large-population benchmarks don't spend their budget on joins.
     """
     rng = sim.rng_for("overlay-fast-build")
     nodes: list[PastryNode] = []
     for i in range(count):
         region = WORLD_REGIONS[i % len(WORLD_REGIONS)]
-        node = PastryNode(sim, network, region.random_position(rng), leaf_size=leaf_size)
+        node = PastryNode(sim, network, region.random_position(rng))
         node.joined = True
         nodes.append(node)
-
-    ordered = sorted(nodes, key=lambda n: n.node_id.value)
-    total = len(ordered)
-    half = leaf_size // 2
-    for index, node in enumerate(ordered):
-        for offset in range(1, min(half, total - 1) + 1):
-            node.leaf_set.add(ordered[(index + offset) % total].descriptor)
-            node.leaf_set.add(ordered[(index - offset) % total].descriptor)
-
-    by_prefix: dict[str, list[PastryNode]] = {}
-    for node in nodes:
-        hex_id = node.node_id.hex
-        for depth in range(1, prefix_depth + 1):
-            by_prefix.setdefault(hex_id[:depth], []).append(node)
-
-    for node in nodes:
-        hex_id = node.node_id.hex
-        for row in range(min(prefix_depth, GUID_DIGITS)):
-            own_digit = node.node_id.digit(row)
-            for col in range(16):
-                if col == own_digit:
-                    continue
-                candidates = by_prefix.get(hex_id[:row] + f"{col:x}")
-                if not candidates:
-                    continue
-                best = min(
-                    candidates[:16],
-                    key=lambda c: node.position.distance_km(c.position),
-                )
-                node.routing_table.add(best.descriptor)
+    fill_converged([(node.leaf_set, node.routing_table) for node in nodes])
     return nodes

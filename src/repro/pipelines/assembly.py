@@ -7,8 +7,6 @@ issues the local/remote connect commands that assemble the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cingal.bundle import Bundle, BundleError, make_bundle
 from repro.cingal.messages import (
     ConnectAck,

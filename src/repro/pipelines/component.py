@@ -8,7 +8,7 @@ drop), keeping components small and independent (§4.2).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.events.model import Notification
 

@@ -9,7 +9,7 @@ as hot."
 
 from __future__ import annotations
 
-from repro.events.filters import Filter, eq, exists, type_is
+from repro.events.filters import Filter, type_is
 from repro.events.model import make_event
 from repro.gis.geometry import travel_time_s
 from repro.matching.patterns import EventPattern, FactPattern, Ref

@@ -10,6 +10,8 @@ without quenching.
 
 import random
 
+import pytest
+
 from repro.events.elvin import (
     ElvinClient,
     ElvinServer,
@@ -17,7 +19,9 @@ from repro.events.elvin import (
 )
 from repro.events.filters import Constraint, Filter, Op
 from repro.events.model import make_event
+from repro.events.wire import Advertise, Notify, NotifyBatch, Publish, PublishBatch, Subscribe
 from repro.net import FixedLatency, Network, Position
+from repro.net.host import Host
 from repro.simulation import Simulator
 
 SUBJECTS = ["news", "traffic", "weather", "sport", "finance", "music"]
@@ -218,3 +222,62 @@ class TestQuenchBatching:
         msg = ElvinSubscribeBatch((_typed("a"),), (_typed("b"),))
         assert msg.subscribes[0] == _typed("a")
         assert msg.unsubscribes[0] == _typed("b")
+
+
+class _Tap(Host):
+    """A bare host recording everything it is sent."""
+
+    def __init__(self, sim, network):
+        super().__init__(sim, network, Position(3, 3))
+        self.heard = []
+
+    def handle_message(self, src, payload):
+        self.heard.append(payload)
+
+
+class TestSharedWireVocabulary:
+    """The server speaks ``repro.events.wire``, not a dialect of its own."""
+
+    @pytest.mark.parametrize(
+        "batched, burst, expect",
+        [
+            (False, False, [Notify]),
+            (True, False, [Notify]),
+            (False, True, [Notify, Notify]),
+            (True, True, [NotifyBatch]),
+        ],
+    )
+    def test_wire_types_leaving_the_server(self, batched, burst, expect):
+        sim = Simulator(seed=7)
+        network = Network(sim, latency=FixedLatency(0.01))
+        server = ElvinServer(sim, network, Position(0, 0), batched=batched)
+        tap = _Tap(sim, network)
+        tap.send(server.addr, Subscribe(_typed("news")))
+        sim.run_for(1.0)
+        if burst:
+            events = (make_event("news", n=1), make_event("noise"), make_event("news", n=2))
+            tap.send(server.addr, PublishBatch(tuple((event, None) for event in events)))
+        else:
+            tap.send(server.addr, Publish(make_event("news")))
+        sim.run_for(1.0)
+        assert [type(payload) for payload in tap.heard] == expect
+        assert server.notifications_processed == (3 if burst else 1)
+
+    def test_client_publishes_untagged_shared_messages(self):
+        sim, network, server = _scene()
+        tap = _Tap(sim, network)
+        client = ElvinClient(sim, network, Position(1, 1), tap)  # "server" is the tap
+        client.subscribe(_typed("news"))
+        client.publish(make_event("news"))
+        client.publish_batch([make_event("news"), make_event("sport")])
+        sim.run_for(1.0)
+        subscribe, publish, batch = tap.heard
+        assert [type(payload) for payload in tap.heard] == [Subscribe, Publish, PublishBatch]
+        # One server, no redundant paths: nothing to stamp for dedup.
+        assert publish.pub_id is None
+        assert [pub_id for _, pub_id in batch.items] == [None, None]
+
+    def test_unknown_payload_still_raises(self):
+        _, _, server = _scene()
+        with pytest.raises(TypeError, match="unknown elvin message"):
+            server.handle_message(server.addr, Advertise(_typed("news")))

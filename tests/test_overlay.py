@@ -13,7 +13,9 @@ from repro.overlay import (
     build_overlay,
     fast_build,
 )
+from repro.events.broker import build_dht_fleet
 from repro.overlay.node_state import LeafSet, RoutingTable
+from repro.overlay.node_state import CONVERGED_PREFIX_ROWS, fill_converged
 from repro.simulation import Simulator
 
 
@@ -113,6 +115,90 @@ class TestRoutingState:
             if value != 0:
                 leaf.add(NodeDescriptor(Guid(value), value, Position(0, 0)))
         assert len(leaf) <= 8
+
+
+class TestFillConverged:
+    """The one ring fill behind ``fast_build`` and ``build_dht_fleet``."""
+
+    @staticmethod
+    def synthetic(count, seed=0):
+        rng = Simulator(seed=seed).rng_for("synthetic")
+        descriptors = [
+            NodeDescriptor(random_guid(rng), addr, Position(rng.uniform(-60, 60), rng.uniform(-170, 170)))
+            for addr in range(count)
+        ]
+        states = [(LeafSet(d), RoutingTable(d)) for d in descriptors]
+        fill_converged(states)
+        return descriptors, states
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 9, 80])
+    def test_every_leaf_set_is_the_ring_neighbourhood(self, count):
+        descriptors, states = self.synthetic(count)
+        ring = sorted(descriptors, key=lambda d: d.guid.value)
+        for leaf, _ in states:
+            at = ring.index(leaf.owner)
+            reach = min(leaf.size // 2, count - 1)
+            expect = {
+                ring[(at + step) % count].guid
+                for offset in range(1, reach + 1)
+                for step in (offset, -offset)
+            }
+            assert {d.guid for d in leaf.members()} == expect
+
+    def test_every_prefix_slot_shares_its_rows_prefix(self):
+        descriptors, states = self.synthetic(80)
+        filled = 0
+        for _, table in states:
+            owner = table.owner
+            for row in range(len(owner.guid.hex)):
+                for col, entry in table.row(row).items():
+                    assert row < CONVERGED_PREFIX_ROWS
+                    assert owner.guid.shared_prefix_len(entry.guid) == row
+                    assert entry.guid.digit(row) == col != owner.guid.digit(row)
+                    # Pastry's proximity heuristic: the closest node of the
+                    # bucket (80 nodes never overfill one past the cap).
+                    bucket = [
+                        d for d in descriptors
+                        if d.guid.hex.startswith(owner.guid.hex[:row] + f"{col:x}")
+                    ]
+                    assert entry == min(bucket, key=lambda d: owner.position.distance_km(d.position))
+                    filled += 1
+            # ... and no reachable bucket of the first row is left empty.
+            first_digits = {d.guid.digit(0) for d in descriptors} - {owner.guid.digit(0)}
+            assert set(table.row(0)) == first_digits
+        assert filled
+
+    @pytest.mark.parametrize("count", [3, 24, 70])
+    def test_both_fast_built_fleets_agree_on_one_root_per_key(self, count):
+        def walk(start, step):
+            """Follow ``step`` (addr -> next addr or None) to the root."""
+            addr, hops = start, 0
+            while (nxt := step(addr)) is not None:
+                addr, hops = nxt, hops + 1
+                assert hops <= count
+            return addr
+
+        sim = Simulator(seed=5)
+        network = Network(sim, latency=FixedLatency(0.01))
+        nodes = {n.addr: n for n in fast_build(sim, network, count)}
+        brokers = {b.addr: b for b in build_dht_fleet(sim, network, count)}
+        rng = sim.rng_for("keys")
+        for _ in range(10):
+            key = random_guid(rng)
+
+            def pastry_step(addr):
+                hop = nodes[addr]._next_hop(key)
+                return None if hop is None else hop.addr
+
+            root = expected_root(list(nodes.values()), key)
+            assert {walk(addr, pastry_step) for addr in nodes} == {root.addr}
+            closest = min(
+                brokers.values(),
+                key=lambda b: (key.ring_distance(b.rv.guid), b.rv.guid.value),
+            )
+            assert {
+                walk(addr, lambda a: brokers[a].rv.next_hop(key)) for addr in brokers
+            } == {closest.addr}
 
 
 class TestFastBuildRouting:

@@ -9,14 +9,19 @@ departed node must observe so keys re-root instead of pointing at a
 ghost.
 """
 
+import random
+
 import pytest
 
 from repro.events.broker import BrokerNode, SienaClient, build_dht_fleet
+from repro.events.elvin import ElvinClient, ElvinServer
 from repro.events.failure import HeartbeatConfig, install_detectors
 from repro.events.filters import Constraint, Filter, Op
+from repro.events.filters import pinned_subject
 from repro.events.model import Notification, make_event
 from repro.events.rendezvous import (
     WILDCARD_KEY,
+    RvJoin,
     advert_key,
     canonical_subject,
     filter_key,
@@ -27,8 +32,10 @@ from repro.events.rendezvous import (
 from repro.ids import guid_from_name
 from repro.net import FixedLatency, Network, Position
 from repro.overlay.api import OverlayApplication
+from repro.events.sharding import ShardPlan
 from repro.overlay.pastry import fast_build
 from repro.simulation import Simulator
+from tests.test_dedup_properties import random_filter
 
 FAST = HeartbeatConfig(interval=0.25, miss_limit=3)
 
@@ -90,6 +97,50 @@ class TestKeyDerivation:
         assert subject_key("weather") == guid_from_name(
             "rv:subject:" + canonical_subject("weather")
         )
+
+    # "The subject a filter pins" has one owner, filters.pinned_subject:
+    # rendezvous keys, shard ownership and Elvin's quench snapshot must
+    # all partition the filter population the same way.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wildcard_means_the_same_to_every_partitioner(self, seed):
+        rng = random.Random(seed)
+        plan = ShardPlan(5)
+        for _ in range(60):
+            f = random_filter(rng)
+            wildcard = pinned_subject(f) is None
+            assert (filter_key(f) == WILDCARD_KEY) == wildcard
+            assert (plan.shard_of_filter(f) is None) == wildcard
+            if not wildcard:
+                assert advert_key(f) == filter_key(f)
+                assert plan.shard_of_filter(f) == plan.owner(pinned_subject(f))
+
+    def test_one_and_one_point_zero_agree_everywhere_true_stays_apart(self):
+        plan = ShardPlan(64)  # enough shards that distinct subjects split
+        one, float_one, true = (
+            Filter(Constraint("type", Op.EQ, value)) for value in (1, 1.0, True)
+        )
+        assert pinned_subject(one) == pinned_subject(float_one) != pinned_subject(true)
+        assert filter_key(one) == filter_key(float_one) != filter_key(true)
+        assert advert_key(one) == advert_key(float_one) != advert_key(true)
+        assert plan.shard_of_filter(one) == plan.shard_of_filter(float_one)
+        assert plan.shard_of_filter(one) == plan.shard_of_event(make_event(1.0))
+        assert plan.shard_of_filter(true) == plan.shard_of_event(make_event(True))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_elvin_quench_snapshot_is_the_pinned_subjects(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator(seed=seed)
+        network = Network(sim, latency=FixedLatency(0.01))
+        server = ElvinServer(sim, network, Position(0, 0))
+        client = ElvinClient(sim, network, Position(1, 1), server)
+        filters = [random_filter(rng) for _ in range(rng.randrange(1, 6))]
+        for f in filters:
+            client.subscribe(f)
+        client.request_quench()
+        sim.run_for(1.0)
+        pinned = {pinned_subject(f) for f in filters}
+        assert client.quench.types == pinned - {None}
+        assert client.quench.any_wildcard == (None in pinned)
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +236,29 @@ class TestRendezvousDelivery:
         pub.publish(make_event("t", n=7))
         sim.run_for(2.0)
         assert [n["n"] for _, n in sub.received] == [7]
+
+
+class TestRvDispatch:
+    """``Rv*`` messages reach the engine through the broker's one
+    dispatch table — and only a dht broker's table holds them."""
+
+    def test_flood_broker_refuses_rendezvous_messages(self):
+        sim = Simulator(seed=3)
+        network = Network(sim, latency=FixedLatency(0.01))
+        broker = BrokerNode(sim, network, Position(1.0, 0.0))
+        with pytest.raises(TypeError, match="unknown broker message"):
+            broker.handle_message(broker.addr, RvJoin(WILDCARD_KEY, 1))
+
+    def test_dht_broker_routes_a_join_toward_the_root(self):
+        sim, _, brokers = make_world(5)
+        key = subject_key("presence")
+        root = root_index(brokers, key)
+        entry = brokers[(root + 1) % len(brokers)]
+        outsider = brokers[(root + 2) % len(brokers)].addr
+        entry.handle_message(outsider, RvJoin(key, 1))
+        assert outsider in entry.rv.trees[key]  # grafted where it entered
+        sim.run_for(1.0)
+        assert entry.addr in brokers[root].rv.trees[key]  # and on to the root
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ conversions (tuples become lists, ``None`` becomes ``null``) are part of
 what is checked, not just the dict-level ``encode_message``.
 """
 
+import asyncio
+import json
+import struct
+
 import pytest
 
 from repro.events.filters import Filter, eq, exists, gt, prefix, type_is
@@ -23,12 +27,15 @@ from repro.events.wire import (
     Unsubscribe,
 )
 from repro.net.serialization import (
+    MAX_FRAME_BYTES,
     FrameDecoder,
+    FrameError,
     Hello,
     decode_message,
     encode_frame,
     encode_message,
 )
+from repro.net.transport import AsyncioTransport
 
 BAND = Filter(type_is("rfid"), gt("strength", 2.5), exists("tag"), prefix("room", "lab-"))
 FLAG = Filter(eq("armed", True), eq("floor", 3))
@@ -111,3 +118,79 @@ def test_unknown_type_and_unknown_tag_are_refused():
         encode_message(Routed("c", MoveOut()))
     with pytest.raises(ValueError, match="bogus"):
         decode_message({"t": "bogus"})
+
+
+# ----------------------------------------------------------------------
+# Malformed input: bytes come from outside the process, so every frame
+# the codec cannot turn into a message is answered with one FrameError.
+# ----------------------------------------------------------------------
+def framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+def framed_json(obj) -> bytes:
+    return framed(json.dumps(obj).encode())
+
+
+MALFORMED = {
+    "missing-field": framed_json(["a", "b", {"t": "sub"}]),
+    "no-tag": framed_json(["a", "b", {}]),
+    "body-not-a-dict": framed_json(["a", "b", 3]),
+    "not-json": framed(b"\xff{not json"),
+    "wrong-arity": framed_json(["a", "b"]),
+    "unknown-tag": framed_json(["a", "b", {"t": "bogus"}]),
+    "unknown-op": framed_json(["a", "b", {"t": "unsub", "f": [["x", "~=", 1]]}]),
+}
+
+
+@pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_body_raises_frame_error(frame):
+    with pytest.raises(FrameError):
+        list(FrameDecoder().feed(frame))
+
+
+@pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+def test_the_frame_after_a_malformed_body_still_decodes(frame):
+    decoder = FrameDecoder()
+    good = encode_frame("src", "dst", Notify(EVENT))
+    with pytest.raises(FrameError):
+        list(decoder.feed(good + frame + good))
+    assert list(decoder.feed(b"")) == [("src", "dst", Notify(EVENT))]
+
+
+def test_an_oversize_prefix_keeps_raising():
+    decoder = FrameDecoder()
+    for data in (struct.pack(">I", MAX_FRAME_BYTES + 1), encode_frame("s", "d", Notify(EVENT))):
+        with pytest.raises(FrameError, match="exceeds cap"):
+            list(decoder.feed(data))
+
+
+def test_hub_drops_a_garbage_speaking_connection_and_serves_the_rest(tmp_path):
+    path = str(tmp_path / "hub.sock")
+
+    async def main():
+        hub = AsyncioTransport(path)
+        await hub.start()
+        good_reader, good_writer = await asyncio.open_unix_connection(path)
+        bad_reader, bad_writer = await asyncio.open_unix_connection(path)
+        good_writer.write(encode_frame("", "", Hello(("good",))))
+        bad_writer.write(encode_frame("", "", Hello(("bad",))))
+        await hub.wait_until(lambda: hub.known("good") and hub.known("bad"))
+
+        bad_writer.write(MALFORMED["missing-field"])
+        assert await bad_reader.read() == b""  # the hub hung up on it
+        assert hub.frame_errors == 1
+        assert not hub.known("bad") and hub.known("good")
+
+        hub.send("hub", "good", NotifyBatch((EVENT, BARE)))
+        await hub.drain()
+        frames = []
+        decoder = FrameDecoder()
+        while not frames:
+            frames.extend(decoder.feed(await good_reader.read(65536)))
+        for writer in (good_writer, bad_writer):
+            writer.close()
+        await hub.stop()
+        return frames
+
+    assert asyncio.run(main()) == [("hub", "good", NotifyBatch((EVENT, BARE)))]
