@@ -27,12 +27,12 @@ import pytest
 
 from repro.cingal.bundle import make_bundle
 from repro.cingal.thin_server import ThinServer
-from repro.events.broker import BrokerMetrics, BrokerNode, SienaClient
+from repro.events.broker import BrokerNode, SienaClient
 from repro.events.filters import Filter, type_is
 from repro.events.mobility import ServiceEndpoint, ServiceHandoff, ServiceInbox
 from repro.events.model import make_event
 from repro.evolution import EvolutionEngine, HeartbeatMonitor, LoadConstraint
-from repro.evolution.advertisement import region_of
+from repro.evolution.advertisement import BrokerMetrics, region_of
 from repro.evolution.constraints import Deployment
 from repro.evolution.engine import BundleTemplate
 from repro.evolution.policies import DiurnalPrefetchPolicy, LatencyReductionPolicy

@@ -9,7 +9,7 @@ from repro.cingal.thin_server import ThinServer
 from repro.events.broker import BrokerNode, SienaClient, build_broker_tree
 from repro.events.filters import Filter, eq, type_is
 from repro.events.model import Notification, make_event
-from repro.evolution.advertisement import ResourceAdvertiser
+from repro.evolution.advertisement import CONTROL_EVENT_TYPES, ResourceAdvertiser
 from repro.evolution.engine import EvolutionEngine
 from repro.evolution.monitor import HeartbeatMonitor
 from repro.knowledge.distributed import DistributedKnowledgeBase
@@ -82,7 +82,7 @@ class ActiveArchitecture:
         self.evolution = EvolutionEngine(
             self.sim, self.agent, self.monitor, cfg.deploy_key
         )
-        for event_type in ("resource", "node-leaving", "node-failed", "node-recovered"):
+        for event_type in CONTROL_EVENT_TYPES:
             self.control_client.subscribe(Filter(type_is(event_type)))
         self.control_client.handlers.append(self._control_event)
         self.advertisers: list[ResourceAdvertiser] = []

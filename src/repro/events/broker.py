@@ -102,7 +102,7 @@ from repro.events.failure import (
 from repro.events.filters import Filter, eq, exists, filters_intersect
 from repro.events.index import CoveringPoset
 from repro.events.placement import plan_extra_links
-from repro.events.model import Notification, make_event
+from repro.events.model import Notification
 from repro.events.rendezvous import RendezvousEngine
 from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
 from repro.events.subscriptions import Subscription
@@ -124,11 +124,12 @@ from repro.events.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.failure import FailureDetector, HeartbeatConfig
-from repro.net.geo import WORLD_REGIONS, Position, region_of
+    from repro.evolution.advertisement import BrokerMetrics
+from repro.net.geo import WORLD_REGIONS, Position
 from repro.net.host import Host
 from repro.net.network import Address, Network
 from repro.overlay.node_state import fill_converged
-from repro.simulation import PeriodicTask, Simulator
+from repro.simulation import Simulator
 
 ROUTING_MODES = ("flood", "dht")
 
@@ -833,111 +834,6 @@ class BrokerNode(Host):
         handler(src, payload)
 
 
-# Event types that are control-plane traffic, not service demand: the
-# metrics layer must not let its own plumbing (or the failure detector's)
-# pollute the demand-age signal migrations key on.
-CONTROL_EVENT_TYPES = frozenset(
-    {"resource", "node-leaving", "node-failed", "node-recovered"}
-)
-
-# Events/second a broker host is sized for: the rate ``load`` reports as 1.0.
-CAPACITY_EPS = 200.0
-
-
-class BrokerMetrics:
-    """Export one broker's load/queue/latency digest on the event fabric.
-
-    §4.4's monitoring loop starts here: the broker itself periodically
-    publishes a ``resource`` event (through its own publication path, so
-    the metrics ride the same fabric as the traffic they describe)
-    carrying
-
-    * ``load`` — processed-notification rate over the interval, as a
-      fraction of ``CAPACITY_EPS`` (events/second the host is sized for);
-    * ``queue_depth`` — notifications parked in mobility proxy buffers;
-    * ``event_age`` — mean of ``now - notification.time`` over the
-      service publications (everything but ``CONTROL_EVENT_TYPES``)
-      processed this interval.  A host far from the
-      traffic's producers sees events that are already old on arrival,
-      so this is the decentralised delivery-latency signal a
-      :class:`~repro.evolution.constraints.LoadConstraint` migrates on.
-      Omitted entirely when the interval carried no service traffic.
-
-    ``deploy_addr`` is the address migration targets should be deployed
-    to (the thin server co-located with this broker); it defaults to the
-    broker's own address.
-    """
-
-    def __init__(
-        self,
-        broker: BrokerNode,
-        node_id: str,
-        period_s: float = 20.0,
-        deploy_addr: Address | None = None,
-        capacity: float = 1.0,
-        jitter: float = 0.0,
-        start_delay: float | None = None,
-    ):
-        self.broker = broker
-        self.node_id = node_id
-        self.period_s = period_s
-        self.deploy_addr = deploy_addr if deploy_addr is not None else broker.addr
-        self.capacity = capacity
-        self.region = region_of(broker.position)
-        self.published = 0
-        self._age_sum = 0.0
-        self._age_count = 0
-        self._last_processed = broker.notifications_processed
-        broker.metrics = self
-        rng = broker.sim.rng_for(f"metrics-{node_id}") if jitter else None
-        self._task = PeriodicTask(
-            broker.sim,
-            period_s,
-            self._publish_metrics,
-            jitter=jitter,
-            start_delay=start_delay,
-            rng=rng,
-        )
-
-    def observe(self, notification: Notification) -> None:
-        """Called by the broker for every publication it processes."""
-        if notification.event_type in CONTROL_EVENT_TYPES:
-            return
-        if "time" not in notification:
-            return
-        self._age_sum += max(0.0, self.broker.sim.now - notification.time)
-        self._age_count += 1
-
-    def _publish_metrics(self) -> None:
-        broker = self.broker
-        processed = broker.notifications_processed - self._last_processed
-        self._last_processed = broker.notifications_processed
-        rate = processed / self.period_s
-        queue_depth = sum(len(buffer) for buffer in broker.proxies.values())
-        attrs: dict = {
-            "node": self.node_id,
-            "addr": int(self.deploy_addr),
-            "region": self.region,
-            "lat": broker.position.lat,
-            "lon": broker.position.lon,
-            "load": round(min(1.0, rate / CAPACITY_EPS), 4),
-            "rate": round(rate, 4),
-            "queue_depth": queue_depth,
-            "capacity": self.capacity,
-        }
-        if self._age_count:
-            attrs["event_age"] = self._age_sum / self._age_count
-        self._age_sum = 0.0
-        self._age_count = 0
-        self.published += 1
-        # Injected as a locally-originated publication: the digest routes
-        # through the overlay exactly like the traffic it measures.
-        broker.inject_publication(None, make_event("resource", time=broker.sim.now, **attrs))
-
-    def stop(self) -> None:
-        self._task.stop()
-
-
 class SienaClient(Host):
     """An event producer/consumer attached to one broker.
 
@@ -1063,7 +959,6 @@ def build_broker_mesh(
     extra_links: int = 2,
     heartbeat: "HeartbeatConfig | None" = None,
     placement: str = "latency",
-    stretch_bound: float = 3.0,
     **broker_options,
 ) -> list[BrokerNode]:
     """A broker mesh: the :func:`build_broker_tree` overlay plus
@@ -1077,7 +972,7 @@ def build_broker_mesh(
     * ``"latency"`` (default) — the greedy latency/disjointness-aware
       plan from :func:`repro.events.placement.plan_extra_links`: each
       chord maximizes newly-protected tree edges subject to a direct
-      latency at most ``stretch_bound`` times the mean tree-link delay.
+      latency at most ``STRETCH_BOUND`` (3) mean tree-link delays.
       Deterministic given broker positions (which the builder draws
       from ``sim.rng_for``, so the same simulator seed still yields the
       same mesh).
@@ -1100,7 +995,6 @@ def build_broker_mesh(
             tree_edges,
             extra_links,
             network.latency,
-            stretch_bound=stretch_bound,
         )
         for i, j in plan:
             brokers[i].connect(brokers[j])

@@ -241,10 +241,10 @@ class Filter:
         return "Filter(" + " & ".join(repr(c) for c in self.constraints) + ")"
 
 
-def pinned_subject(filter: Filter, attr: str = "type") -> str | None:
-    """The canonical subject ``filter`` pins on ``attr``, else ``None``.
+def pinned_subject(filter: Filter) -> str | None:
+    """The canonical subject ``filter`` pins, else ``None``.
 
-    An equality constraint on the subject attribute pins the only
+    An equality constraint on the subject attribute (``type``) pins the only
     subject the filter can match — what rendezvous keys, shard ownership
     and Elvin's quench snapshot all partition by; ``None`` marks a
     wildcard that could match any subject.  A filter with several such
@@ -252,7 +252,7 @@ def pinned_subject(filter: Filter, attr: str = "type") -> str | None:
     of them is a sound (conservative) pick.
     """
     for constraint in filter.constraints:
-        if constraint.name == attr and constraint.op is Op.EQ:
+        if constraint.name == "type" and constraint.op is Op.EQ:
             return canonical_subject(constraint.value)
     return None
 

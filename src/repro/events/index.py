@@ -5,10 +5,10 @@ scan — O(subscriptions × constraints) per publication — and answered
 covering questions ("is this filter covered by an already-forwarded
 one?", "what was this removed filter masking?") by rescanning whole
 filter lists.  Siena-lineage systems get their throughput from two data
-structures, reproduced here and shared by every dispatching layer
-(:class:`~repro.events.broker.BrokerNode`,
-:class:`~repro.events.elvin.ElvinServer`, and the matching engine's
-event→pattern pinning):
+structures, reproduced here and shared by the dispatching layers
+(:class:`~repro.events.broker.BrokerNode` through its ``FilterTable``s
+and shards, and :class:`~repro.events.elvin.ElvinServer`; the matching
+engine pins events to patterns through its own per-type buckets):
 
 * :class:`PredicateIndex` — the *counting algorithm*.  Filters are
   decomposed into their attribute constraints and each constraint is
@@ -25,9 +25,11 @@ event→pattern pinning):
   preallocated arrays reused across calls — the match hot path
   allocates no per-event dicts (the PR 6 profile in
   ``benchmarks/PROFILE.md`` showed per-event dict churn dominating).
-  The buckets are walked by exactly two routines: ``candidate_fids``
-  (python lists — scalar ``match`` and the pure-python batch path) and
-  ``candidate_arrays`` (numpy mirrors — the vectorised batch path).
+  The buckets are walked by one routine, ``_AttributeIndex.satisfied``,
+  which yields one entry per satisfied constraint; scalar ``match`` and
+  the pure-python batch path count those entries as python lists, the
+  vectorised batch path as ``int64`` views of the same lists, and
+  ``ops`` is the number of entries the walk yielded — on every path.
 
 * :meth:`PredicateIndex.match_batch` — the *batched* hot path.  A batch
   shares one candidate-collection sweep per distinct (attribute, value)
@@ -131,8 +133,7 @@ class _AttributeIndex:
 
     __slots__ = (
         "exists", "eq", "ne_all", "ne_eq", "ranges", "prefix", "suffix",
-        "contains", "prefix_maxlen", "suffix_maxlen",
-        "np_exists", "np_eq", "np_ne_all",
+        "contains", "prefix_maxlen", "suffix_maxlen", "views",
     )
 
     def __init__(self) -> None:
@@ -155,24 +156,21 @@ class _AttributeIndex:
         # Longest registered pattern: bounds the prefix/suffix probes.
         self.prefix_maxlen = 0
         self.suffix_maxlen = 0
-        # Lazily rebuilt numpy mirrors (None = stale or absent).
-        self.np_exists = None
-        self.np_eq: dict[tuple, Any] | None = None
-        self.np_ne_all: dict[str, Any] | None = None
+        # id(stored fid list) -> its lazily built int64 view; dropped
+        # whole by every add/remove (see :meth:`arrays`).
+        self.views: dict[int, Any] = {}
 
     def add(self, constraint: Constraint, fid: int) -> None:
         op, value = constraint.op, constraint.value
+        self.views.clear()
         if op is Op.EXISTS:
             self.exists.append(fid)
-            self.np_exists = None
         elif op is Op.EQ:
             self.eq.setdefault((_family(value), value), []).append(fid)
-            self.np_eq = None
         elif op is Op.NE:
             fam = _family(value)
             self.ne_all.setdefault(fam, []).append(fid)
             self.ne_eq.setdefault((fam, value), []).append(fid)
-            self.np_ne_all = None
         elif op in _RANGE_OPS:
             self.ranges.setdefault((op, _family(value)), _Thresholds()).insert(value, fid)
         elif op is Op.PREFIX:
@@ -188,22 +186,20 @@ class _AttributeIndex:
 
     def remove(self, constraint: Constraint, fid: int) -> None:
         op, value = constraint.op, constraint.value
+        self.views.clear()
         if op is Op.EXISTS:
             self.exists.remove(fid)
-            self.np_exists = None
         elif op is Op.EQ:
             bucket = self.eq[(_family(value), value)]
             bucket.remove(fid)
             if not bucket:
                 del self.eq[(_family(value), value)]
-            self.np_eq = None
         elif op is Op.NE:
             fam = _family(value)
             self.ne_all[fam].remove(fid)
             self.ne_eq[(fam, value)].remove(fid)
             if not self.ne_eq[(fam, value)]:
                 del self.ne_eq[(fam, value)]
-            self.np_ne_all = None
         elif op in _RANGE_OPS:
             self.ranges[(op, _family(value))].remove(value, fid)
         elif op is Op.PREFIX:
@@ -220,22 +216,28 @@ class _AttributeIndex:
         else:
             self.contains[value[:1]].remove((value, fid))
 
-    def candidate_fids(self, actual: Any) -> list[int]:
-        """Ids of every constraint ``actual`` satisfies, with multiplicity.
+    def satisfied(self, actual: Any) -> tuple[list, list, list[int]]:
+        """Every constraint ``actual`` satisfies, as ``(shared, windows, hits)``.
 
-        One entry per satisfied constraint (a filter constraining the
-        same attribute twice appears twice) — the caller bumps a counter
-        per entry.  This is the one python walk of the buckets: scalar
-        ``match`` and the pure-python batch path both count from it, and
-        its length is what ``PredicateIndex.ops`` accumulates.
+        This is the one walk of the buckets.  ``shared`` holds stored fid
+        lists *by reference* (the EXISTS list, the EQ bucket, the ``!=``
+        pool when nothing is excluded), ``windows`` the ``(thresholds,
+        lo, hi)`` ranges of the sorted threshold arrays, and ``hits`` the
+        ids materialised on the spot (``!=`` survivors, pattern matches).
+        Together they carry one entry per satisfied constraint — a filter
+        constraining the attribute twice appears twice — and that entry
+        count is what ``PredicateIndex.ops`` accumulates on every path:
+        :meth:`fids` and :meth:`arrays` only change how entries are held.
         """
-        out: list[int] = []
+        shared: list[list[int]] = []
+        windows: list[tuple[_Thresholds, int, int]] = []
+        hits: list[int] = []
         fam = _family(actual)
         if self.exists:
-            out.extend(self.exists)
-        hits = self.eq.get((fam, actual))
-        if hits:
-            out.extend(hits)
+            shared.append(self.exists)
+        bucket = self.eq.get((fam, actual))
+        if bucket:
+            shared.append(bucket)
         pool = self.ne_all.get(fam)
         if pool:
             excluded = self.ne_eq.get((fam, actual))
@@ -245,102 +247,17 @@ class _AttributeIndex:
                     if skip.get(fid):
                         skip[fid] -= 1
                         continue
-                    out.append(fid)
+                    hits.append(fid)
             else:
-                out.extend(pool)
+                shared.append(pool)
         if self.ranges:
             for (op, rfam), thresholds in self.ranges.items():
                 if rfam != fam:
                     continue
                 lo, hi = thresholds.window(op, actual)
                 if hi > lo:
-                    out.extend(thresholds.fids[lo:hi])
+                    windows.append((thresholds, lo, hi))
         if fam == "s":
-            if self.prefix:
-                for i in range(min(self.prefix_maxlen, len(actual)) + 1):
-                    hits = self.prefix.get(actual[:i])
-                    if hits:
-                        out.extend(hits)
-            if self.suffix:
-                n = len(actual)
-                for i in range(min(self.suffix_maxlen, n) + 1):
-                    hits = self.suffix.get(actual[n - i:])
-                    if hits:
-                        out.extend(hits)
-            if self.contains:
-                bucket = self.contains.get("")
-                if bucket:
-                    out.extend(fid for _value, fid in bucket)  # "" is in every string
-                for char in set(actual):
-                    bucket = self.contains.get(char)
-                    if not bucket:
-                        continue
-                    for value, fid in bucket:
-                        if value in actual:
-                            out.append(fid)
-        return out
-
-    # -- numpy mirrors (vectorised batch path) --------------------------
-    def candidate_arrays(self, actual: Any, out: list) -> int:
-        """Append numpy candidate-id arrays for ``actual`` to ``out``.
-
-        Shared pools (EXISTS, EQ buckets, NE pools, threshold windows)
-        come from lazily maintained mirrors — threshold windows are
-        zero-copy slices — while per-probe hit lists (patterns, NE
-        exclusions) are materialised on the spot.  Returns the candidate
-        count (the ``ops`` contribution).
-        """
-        ops = 0
-        fam = _family(actual)
-        if self.exists:
-            arr = self.np_exists
-            if arr is None:
-                arr = self.np_exists = _np.array(self.exists, dtype=_np.int64)
-            out.append(arr)
-            ops += len(self.exists)
-        if self.eq:
-            cache = self.np_eq
-            if cache is None:
-                cache = self.np_eq = {}
-            key = (fam, actual)
-            arr = cache.get(key)
-            if arr is None and key in self.eq:
-                arr = cache[key] = _np.array(self.eq[key], dtype=_np.int64)
-            if arr is not None:
-                out.append(arr)
-                ops += arr.size
-        pool = self.ne_all.get(fam)
-        if pool:
-            ops += len(pool)
-            excluded = self.ne_eq.get((fam, actual))
-            if excluded:
-                skip = Counter(excluded)
-                kept = []
-                for fid in pool:
-                    if skip.get(fid):
-                        skip[fid] -= 1
-                        continue
-                    kept.append(fid)
-                if kept:
-                    out.append(_np.array(kept, dtype=_np.int64))
-            else:
-                cache = self.np_ne_all
-                if cache is None:
-                    cache = self.np_ne_all = {}
-                arr = cache.get(fam)
-                if arr is None:
-                    arr = cache[fam] = _np.array(pool, dtype=_np.int64)
-                out.append(arr)
-        if self.ranges:
-            for (op, rfam), thresholds in self.ranges.items():
-                if rfam != fam:
-                    continue
-                lo, hi = thresholds.window(op, actual)
-                if hi > lo:
-                    out.append(thresholds.mirror()[lo:hi])
-                    ops += hi - lo
-        if fam == "s":
-            hits: list[int] = []
             if self.prefix:
                 for i in range(min(self.prefix_maxlen, len(actual)) + 1):
                     bucket = self.prefix.get(actual[:i])
@@ -353,22 +270,49 @@ class _AttributeIndex:
                     if bucket:
                         hits.extend(bucket)
             if self.contains:
-                bucket = self.contains.get("")
-                if bucket:
-                    hits.extend(fid for _value, fid in bucket)
-                    ops += len(bucket)
+                patterns = self.contains.get("")
+                if patterns:
+                    hits.extend(fid for _value, fid in patterns)  # "" is in every string
                 for char in set(actual):
-                    bucket = self.contains.get(char)
-                    if not bucket:
+                    patterns = self.contains.get(char)
+                    if not patterns:
                         continue
-                    ops += len(bucket)
-                    for value, fid in bucket:
+                    for value, fid in patterns:
                         if value in actual:
                             hits.append(fid)
-            if hits:
-                ops += len(hits)
-                out.append(_np.array(hits, dtype=_np.int64))
-        return ops
+        return shared, windows, hits
+
+    def fids(self, actual: Any) -> list[int]:
+        """The walk's entries as one python list (counter-bumping paths)."""
+        shared, windows, out = self.satisfied(actual)
+        for stored in shared:
+            out.extend(stored)
+        for thresholds, lo, hi in windows:
+            out.extend(thresholds.fids[lo:hi])
+        return out
+
+    def arrays(self, actual: Any) -> list:
+        """The walk's entries as ``int64`` arrays (the ``bincount`` path).
+
+        Shared lists are viewed through :attr:`views` — keyed by list
+        identity, which is safe only because every ``add``/``remove`` on
+        this attribute drops the cache before a list can change or its
+        id be reused; threshold windows are zero-copy slices of the
+        thresholds' own mirror.
+        """
+        shared, windows, hits = self.satisfied(actual)
+        views = self.views
+        out = []
+        for stored in shared:
+            view = views.get(id(stored))
+            if view is None:
+                view = views[id(stored)] = _np.array(stored, dtype=_np.int64)
+            out.append(view)
+        for thresholds, lo, hi in windows:
+            out.append(thresholds.mirror()[lo:hi])
+        if hits:
+            out.append(_np.array(hits, dtype=_np.int64))
+        return out
 
 
 # Bound on the persistent heavy-signature cache of the pure-python
@@ -376,6 +320,9 @@ class _AttributeIndex:
 # cheap to rebuild and workloads with > this many live shapes churn
 # anyway).
 _PY_BASE_CACHE_MAX = 128
+# How many notifications of a batch must share a key for the fallback to
+# fold it into a base array instead of walking it per notification.
+_PY_HEAVY_MIN = 4
 
 
 class PredicateIndex:
@@ -384,9 +331,10 @@ class PredicateIndex:
     Filters are registered with :meth:`add` (which returns a stable id,
     optionally carrying an opaque ``payload`` such as the subscriber
     address) and withdrawn with :meth:`remove`.  :attr:`ops` accumulates
-    the candidates collected across all ``match``/``match_batch`` calls
-    (one per satisfied constraint) — the indexed counterpart of the
-    naive scan's match-operation count.
+    the entries the bucket walk yielded across all ``match`` /
+    ``match_batch`` calls — one per satisfied constraint, the same on
+    the scalar, pure-python batch and numpy paths — the indexed
+    counterpart of the naive scan's match-operation count.
 
     :meth:`match_batch` amortises a batch of notifications: one
     candidate sweep per distinct (attribute, value) pair and — with
@@ -462,7 +410,7 @@ class PredicateIndex:
         for name, actual in notification.items():
             attr = attributes.get(name)
             if attr is not None:
-                candidates = attr.candidate_fids(actual)
+                candidates = attr.fids(actual)
                 ops += len(candidates)
                 for fid in candidates:
                     c = counts[fid]
@@ -524,7 +472,7 @@ class PredicateIndex:
         needs = self._np_needs
         if needs is None or needs.size != n_ids:
             needs = self._np_needs = _np.array(self._needs, dtype=_np.int64)
-        memo: dict[tuple, tuple[list, int]] = {}
+        memo: dict[tuple, list] = {}
         results: list[set[int]] = []
         ops = 0
         concatenate = _np.concatenate
@@ -536,26 +484,22 @@ class PredicateIndex:
                 if attr is None:
                     continue
                 key = (name, _family(actual), actual)
-                cached = memo.get(key)
-                if cached is None:
-                    sub: list = []
-                    key_ops = attr.candidate_arrays(actual, sub)
-                    cached = memo[key] = (sub, key_ops)
-                arrs.extend(cached[0])
-                ops += cached[1]
+                sub = memo.get(key)
+                if sub is None:
+                    sub = memo[key] = attr.arrays(actual)
+                arrs.extend(sub)
             if not arrs:
                 results.append(set())
                 continue
             cat = concatenate(arrs) if len(arrs) > 1 else arrs[0]
+            ops += cat.size  # every entry the walk yielded for this event
             counts = bincount(cat, minlength=n_ids)
             matched = _np.nonzero(counts == needs[: counts.size])[0]
             results.append(set(matched.tolist()))
         self.ops += ops
         return results
 
-    def _match_batch_py(
-        self, notifications: list, heavy_min: int = 4
-    ) -> list[set[int]]:
+    def _match_batch_py(self, notifications: list) -> list[set[int]]:
         per_event, freq = self._batch_keys(notifications)
         needs = self._needs
         n_ids = self._next_id
@@ -564,10 +508,10 @@ class PredicateIndex:
         def candidates(attr: _AttributeIndex, key: tuple) -> list[int]:
             fids = memo.get(key)
             if fids is None:
-                fids = memo[key] = attr.candidate_fids(key[2])
+                fids = memo[key] = attr.fids(key[2])
             return fids
 
-        # Keys shared by >= heavy_min notifications are folded into one
+        # Keys shared by >= _PY_HEAVY_MIN notifications are folded into one
         # base counter array per distinct heavy-key signature.  The map
         # persists across calls: steady workloads (same attribute shapes
         # batch after batch) reuse base arrays instead of rebuilding them,
@@ -604,7 +548,7 @@ class PredicateIndex:
             rare = []
             for attr, key in keys:
                 ops += len(candidates(attr, key))
-                if freq[key] >= heavy_min:
+                if freq[key] >= _PY_HEAVY_MIN:
                     heavy[key] = attr
                 else:
                     rare.append((attr, key))

@@ -11,7 +11,7 @@ leaving long latency detours.
 
 :func:`plan_extra_links` spends the same budget greedily: each step adds
 the chord protecting the most not-yet-protected tree edges, among
-candidates whose direct latency stays within ``stretch_bound`` times the
+candidates whose direct latency stays within ``STRETCH_BOUND`` times the
 mean tree-link latency (a chord from Scotland to Australia protects a
 lot of edges, but every message re-routed over it pays its length).
 Delays come from the latency model's jitter-free ``typical_s`` estimate,
@@ -37,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # Chord planning prices links by payload-sized messages, not heartbeats.
 PLAN_MESSAGE_BYTES = 256
+# A chord may be at most this many mean tree-link delays long.
+STRETCH_BOUND = 3.0
 
 
 def typical_delay(
@@ -86,13 +88,12 @@ def plan_extra_links(
     tree_edges: list[tuple[int, int]],
     count: int,
     latency: "LatencyModel",
-    stretch_bound: float = 3.0,
 ) -> list[tuple[int, int]]:
     """Choose ``count`` chords for the tree, greedily and deterministically.
 
     Each step picks the candidate (non-adjacent pair) protecting the
     most not-yet-protected tree edges, restricted to chords whose direct
-    typical delay is at most ``stretch_bound`` times the mean tree-link
+    typical delay is at most ``STRETCH_BOUND`` times the mean tree-link
     delay; ties break toward the lower-latency chord, then the lower
     pair index.  Once every tree edge is protected (or no admissible
     chord protects anything new), remaining budget goes to the shortest
@@ -109,7 +110,7 @@ def plan_extra_links(
     }
     tree_delays = [delays[(min(u, v), max(u, v))] for u, v in tree_edges]
     mean_link = sum(tree_delays) / len(tree_delays) if tree_delays else 0.0
-    budget = stretch_bound * mean_link
+    budget = STRETCH_BOUND * mean_link
     candidates = [
         pair for pair in sorted(paths) if frozenset(pair) not in existing
     ]

@@ -62,6 +62,10 @@ from repro.events.model import Notification
 
 Address = Hashable
 
+# Virtual ring points per shard: keeps subject ownership and client
+# homes balanced, and moves only ~1/n of the keys when the fleet grows.
+_VNODES = 32
+
 # Canonical token for "the event has no partition attribute".  Family
 # tags from canonical_subject are single letters followed by ':', so no
 # real subject canonicalises to this.
@@ -76,24 +80,18 @@ def _hash64(text: str) -> int:
 class ShardPlan:
     """Consistent-hash placement of subjects and clients onto shards.
 
-    The ring carries ``vnodes`` virtual points per shard so both subject
-    ownership and client homes stay balanced, and growing the shard
-    count moves only ``~1/n`` of the keys.  The plan is a pure function
-    of ``(n_shards, partition_attr, vnodes)``: every router, shard and
-    client can compute placement locally with no coordination.
+    Subjects are values of the ``type`` attribute.  The plan is a pure
+    function of ``n_shards``: every router, shard and client can compute
+    placement locally with no coordination.
     """
 
-    def __init__(
-        self, n_shards: int, partition_attr: str = "type", vnodes: int = 32
-    ) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.n_shards = n_shards
-        self.partition_attr = partition_attr
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard in range(n_shards):
-            for v in range(vnodes):
+            for v in range(_VNODES):
                 points.append((_hash64(f"shard:{shard}:{v}"), shard))
         points.sort()
         self._ring_keys = [p[0] for p in points]
@@ -120,8 +118,8 @@ class ShardPlan:
 
     def shard_of_event(self, notification: Notification) -> int:
         """The single shard a publication must visit."""
-        value = notification.get(self.partition_attr)
-        if value is None and self.partition_attr not in notification:
+        value = notification.get("type")
+        if value is None and "type" not in notification:
             return self.owner(_ABSENT)
         return self.owner(canonical_subject(value))
 
@@ -132,7 +130,7 @@ class ShardPlan:
         ``EQ`` constraint on the partition attribute, so it could match
         events routed to any shard.
         """
-        canon = pinned_subject(filter, self.partition_attr)
+        canon = pinned_subject(filter)
         return None if canon is None else self.owner(canon)
 
     def home(self, client: Address) -> int:

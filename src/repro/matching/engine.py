@@ -11,7 +11,7 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.events.model import Notification
 from repro.knowledge.base import KnowledgeBase
@@ -29,7 +29,6 @@ class EngineStats:
     synthesized: int = 0
     guard_errors: int = 0
     suppressed_by_cooldown: int = 0
-    match_latencies: list = field(default_factory=list)
     # Window entries materialized across all enumeration levels: the work
     # the subject index is meant to cut (full-window heads scanned when
     # naive, keyed hits when indexed).
@@ -58,9 +57,10 @@ class MatchingEngine:
         # Ablation switch (benchmark A2): without KB guidance the join
         # enumerates raw per-entity pools under the combination budget.
         self.kb_guided_joins = kb_guided_joins
-        # Event→pattern pinning via the matching fabric: patterns are
-        # bucketed by their (exact-match) event type, so an arriving
-        # event touches only the rules that could possibly pin it.
+        # Event→pattern pinning (the engine's own ``_patterns_by_type``
+        # buckets, not ``PredicateIndex``): patterns are filed under their
+        # (exact-match) event type, so an arriving event touches only the
+        # rules that could possibly pin it.
         # ``indexed=False`` restores the seed's every-rule scan.
         self.indexed = indexed
         # Ablation switch (benchmarks A2/E9): with ``indexed_windows`` a
@@ -352,11 +352,6 @@ class MatchingEngine:
                 return None
         self._last_fired[(rule.name, key)] = now
         self.stats.matches += 1
-        oldest = min(
-            (b.time for b in bindings.values() if isinstance(b, Notification)),
-            default=now,
-        )
-        self.stats.match_latencies.append(now - oldest)
         result = rule.action(bindings, ctx)
         if result is None:
             return []

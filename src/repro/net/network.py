@@ -9,7 +9,7 @@ harnesses read (message totals are how E4 measures broker load).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.net.geo import Region
 from repro.net.latency import GeographicLatency, LatencyModel
@@ -87,7 +87,6 @@ class Network:
         self._fifo_horizon: dict[tuple[Address, Address], float] = {}
         self._rng = sim.rng_for("network")
         self._next_addr = 0
-        self.delivery_hooks: list[Callable[[Message], None]] = []
 
     # ------------------------------------------------------------------
     # Membership
@@ -309,6 +308,4 @@ class Network:
         self.stats.messages_delivered += 1
         counter = self.stats.per_host_delivered
         counter[message.dst] = counter.get(message.dst, 0) + 1
-        for hook in self.delivery_hooks:
-            hook(message)
         host._receive(message)

@@ -204,17 +204,11 @@ async def serve_worker(
         writer.close()
 
 
-def _shard_worker_main(
-    path: str,
-    n_shards: int,
-    partition_attr: str,
-    vnodes: int,
-    shard_ids: tuple,
-) -> None:
+def _shard_worker_main(path: str, n_shards: int, shard_ids: tuple) -> None:
     """Entry point of one shard worker process (picklable scalars only)."""
     from repro.events.sharding import ShardEndpoint, ShardPlan
 
-    plan = ShardPlan(n_shards, partition_attr=partition_attr, vnodes=vnodes)
+    plan = ShardPlan(n_shards)
     shard_addrs = {sid: f"shard-{sid}" for sid in range(n_shards)}
 
     def build(send: Callable) -> Dict[Address, Handler]:
@@ -243,7 +237,7 @@ def spawn_shard_workers(
     for shard_ids in groups:
         process = context.Process(
             target=_shard_worker_main,
-            args=(path, plan.n_shards, plan.partition_attr, plan.vnodes, tuple(shard_ids)),
+            args=(path, plan.n_shards, tuple(shard_ids)),
             daemon=True,
         )
         process.start()
