@@ -26,8 +26,7 @@ def run_workload(covering: bool) -> dict:
     sim = Simulator(seed=131)
     network = Network(sim, latency=FixedLatency(0.01))
     # indexed=False pins this ablation to the seed's naive scan path, so it
-    # isolates the covering optimisation itself; E13 measures the predicate
-    # index against this same un-optimised dispatch.
+    # isolates the covering optimisation itself.
     brokers = build_broker_tree(
         sim, network, BROKERS, covering_enabled=covering, indexed=False
     )

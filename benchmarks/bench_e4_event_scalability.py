@@ -44,7 +44,7 @@ def elvin_load(clients: int) -> dict:
     network = Network(sim, latency=FixedLatency(0.01))
     # indexed=False: E4's architectural comparison measures the central
     # server's un-optimised matching load (match_operations = filters
-    # scanned), the baseline the predicate index (E13) is judged against.
+    # scanned).
     server = ElvinServer(sim, network, Position(0.0, 0.0), indexed=False)
     population = [
         ElvinClient(sim, network, Position(1.0 + i * 0.01, 1.0), server)

@@ -88,12 +88,15 @@ BROKER_SWEEP = [(7, 2, 16), (15, 2, 20)] if SMOKE else [(15, 2, 30), (31, 3, 40)
 FAULT_SWEEP = [(15, 2, 12, 2)] if SMOKE else [(15, 2, 24, 2), (31, 2, 32, 2)]
 # (brokers, subscribers per broker)
 SELFHEAL_SWEEP = [(15, 2)] if SMOKE else [(15, 2), (31, 2)]
-# (brokers, extra links)
-PLACEMENT_SWEEP = [(15, 4)] if SMOKE else [(15, 4), (31, 6)]
+# (brokers, extra links, bridges the planner may leave: with seed 77 and
+# no jitter the graph is fixed, so the bound is the count it reaches)
+PLACEMENT_SWEEP = [(15, 4, 0)] if SMOKE else [(15, 4, 0), (31, 6, 4)]
 # brokers per adversarial scenario
 ADVERSARIAL_SWEEP = [15] if SMOKE else [15, 31]
-# broker counts for the dht rendezvous scale phase; the smallest point
-# is shared between smoke and full sweeps so the gate can compare runs
+# Simulated seconds from the end of a disturbance to a victim's first
+# delivery: the returning beat, the state exchange, the next publication.
+ADVERSARIAL_RECONVERGE_S = {"flap": 1.0, "regional": 1.5, "crash": 2.0}
+# broker counts for the dht rendezvous scale phase
 DHT_SCALE_SWEEP = [100, 200] if SMOKE else [100, 500, 1000, 2000]
 DHT_SCALE_TOPICS = 8
 DHT_SCALE_PUBS = 24
@@ -294,9 +297,10 @@ def test_e5_adv_pruned_subscription_routing(benchmark):
         # Pruning must not change what anyone receives...
         assert pruned["deliveries"] == flooded["deliveries"]
         assert pruned["delivered"] > 0  # ...and the workload really delivers.
-        # The acceptance bar: producer-sparse trees forward under half
-        # the Subscribe traffic once advertisements prune propagation.
-        assert pruned["subscribe_msgs"] * 2 < flooded["subscribe_msgs"]
+        # The acceptance bar: producer-sparse trees forward a seventh of
+        # the Subscribe traffic once advertisements prune propagation
+        # (message counts are exact per seed: 22x, 7.3x, 14.2x here).
+        assert pruned["subscribe_msgs"] * 7 < flooded["subscribe_msgs"]
 
 
 def mesh_fault_stats(
@@ -448,8 +452,11 @@ def test_e5_mesh_fault_tolerance(benchmark):
         assert tree_killed["delivered_after"] < control["delivered_after"]
         # The mesh survives every kill with zero delivery loss.
         assert mesh_killed["deliveries"] == control["deliveries"]
-        # The price: redundant copies, all suppressed inside the fabric.
-        assert mesh_killed["duplicates_suppressed"] > 0
+        # The price: redundant copies, all suppressed inside the fabric,
+        # at most one for every four notifications a broker processes.
+        assert 0 < mesh_killed["duplicates_suppressed"] * 4 <= (
+            mesh_killed["notifications_processed"]
+        )
 
 
 def selfheal_stats(brokers_n: int, subs_per_broker: int, detector: bool,
@@ -604,11 +611,13 @@ def test_e5_selfheal_time(benchmark):
         )
         if healed["detector"]:
             # The headline claim: a detector-healed overlay loses nothing
-            # once reconverged, and reconvergence is fast (a few beats).
+            # once reconverged, and reconvergence is fast: the returning
+            # beat, the state exchange and the next topic-late publication
+            # (one every 1.5 s) fit inside five 0.5 s beats.
             assert lost_after_heal == 0
             assert healed["probes"] == control["probes"]
             assert healed["reconverge_s"] is not None
-            assert healed["reconverge_s"] < 5.0
+            assert healed["reconverge_s"] < 2.5
         else:
             # The ablation: without the detector the mid-outage
             # subscription is stranded — post-heal loss never recovers.
@@ -668,7 +677,7 @@ def placement_stats(brokers_n: int, extra: int, policy: str) -> dict:
 def test_e5_placement_quality(benchmark):
     def sweep():
         rows = []
-        for brokers_n, extra in PLACEMENT_SWEEP:
+        for brokers_n, extra, _ in PLACEMENT_SWEEP:
             rows.append(
                 (
                     placement_stats(brokers_n, extra, "latency"),
@@ -713,12 +722,14 @@ def test_e5_placement_quality(benchmark):
             ],
         },
     )
-    for latency_row, random_row in rows:
+    for (latency_row, random_row), (_, _, max_bridges) in zip(rows, PLACEMENT_SWEEP):
         # The planner never buys less protection than random chance...
         assert latency_row["protected"] >= random_row["protected"]
         assert latency_row["bridges"] <= random_row["bridges"]
-        # ...and each planned chord protects at least a 2-edge tree path.
-        assert latency_row["protected"] >= 2 * latency_row["extra"]
+        # ...each planned chord protects at least a 3-edge tree path...
+        assert latency_row["protected"] >= 3 * latency_row["extra"]
+        # ...and no more single points of partition are left than planned.
+        assert latency_row["bridges"] <= max_bridges
 
 
 def adversarial_stats(brokers_n: int, scenario: str, fail: bool) -> dict:
@@ -758,6 +769,10 @@ def adversarial_stats(brokers_n: int, scenario: str, fail: bool) -> dict:
         ]
     else:
         victims = [1]
+    victim_set = set(victims)
+    victim_links = sum(
+        1 for i, j in mesh_edges(brokers) if i in victim_set or j in victim_set
+    )
     clients = []
     for index, broker in enumerate(brokers):
         for slot in range(2):
@@ -806,7 +821,6 @@ def adversarial_stats(brokers_n: int, scenario: str, fail: bool) -> dict:
 
     outage_lo = int((FAIL_AT - STREAM_START) / STREAM_STEP)
     outage_hi = int((HEAL_AT - STREAM_START) / STREAM_STEP)
-    victim_set = set(victims)
     reconverge = min(
         (
             at - HEAL_AT
@@ -824,6 +838,7 @@ def adversarial_stats(brokers_n: int, scenario: str, fail: bool) -> dict:
         "outage": [seq_window(c, outage_lo, outage_hi) for _, c in clients],
         "probes": [seq_window(c, 9000, 9000 + PROBE_COUNT) for _, c in clients],
         "reconverge_s": reconverge,
+        "victim_links": victim_links,
         "declared_dead": sum(d.links_declared_dead for d in detectors),
         "restores": sum(d.links_restored for d in detectors),
         "quarantines": sum(d.links_quarantined for d in detectors),
@@ -898,12 +913,18 @@ def test_e5_adversarial_failures(benchmark):
         assert failed["probes"] == control["probes"]
         # ...and reconverges promptly once the disturbance ends.
         assert failed["reconverge_s"] is not None
-        assert failed["reconverge_s"] < 15.0
+        assert failed["reconverge_s"] < ADVERSARIAL_RECONVERGE_S[failed["scenario"]]
+        # Detection is not paid for in heartbeats: a dead link is probed
+        # (counted apart), so the bill never exceeds the quiet mesh's.
+        assert failed["control_msgs"] <= control["control_msgs"]
         if failed["scenario"] == "flap":
             # Damping bounds restore churn: at most one restore per end
             # per up-window (3 cycles), and the quarantine engages.
             assert failed["restores"] <= 8
             assert failed["quarantines"] >= 1
+        else:
+            # One outage, one restore per end of each link it silenced.
+            assert failed["restores"] <= 2 * failed["victim_links"]
 
 
 @pytest.mark.benchmark(group="e5")
@@ -932,7 +953,7 @@ def dht_scale_stats(count: int, mode: str) -> dict:
     The workload never reads the topology: producer/subscriber homes and
     topic assignments are pure functions of ``(index, count)``, so the
     flood, adv_pruned and dht runs see identical traffic and their
-    delivered counts are directly comparable (the zero-loss gate).
+    delivered counts are directly comparable (the zero-loss asserts).
     Publications carry ``time=sim.now`` and the network runs a fixed
     per-hop latency, so ``recv_time - time`` measures path length — the
     hop-stretch metric — without instrumenting any broker.
@@ -1045,6 +1066,9 @@ def test_e5_dht_rendezvous_scale(benchmark):
         assert row["dht"]["delivered"] == row["flood"]["delivered"]
         assert row["adv_pruned"]["delivered"] == row["flood"]["delivered"]
         assert row["flood"]["delivered"] > 0
+        # Through the rendezvous root is no longer than along the flooded
+        # tree (mean delivery age under a fixed per-hop latency).
+        assert row["hop_stretch"] <= 1.0
     # Per-broker control state grows strictly sublinearly in broker count
     # under dht routing — the whole point of rendezvous trees.
     first, last = json_rows[0], json_rows[-1]

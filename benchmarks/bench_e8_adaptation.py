@@ -394,4 +394,6 @@ def test_e8_flash_crowd_migration(benchmark):
     assert ablation["migrations"] == 0
     assert adapted["degraded_s"] > adapted["baseline_s"] * 2
     assert adapted["end_s"] < adapted["degraded_s"] / 2
-    assert adapted["end_s"] < ablation["end_s"]
+    # Delivery ages are simulated time, exact per seed: the migrated end
+    # state is 9.2x (smoke) / 10.9x (full) younger than the ablation's.
+    assert improvement >= 8.0

@@ -55,8 +55,8 @@ Dispatch runs through the predicate-indexed matching fabric
 :class:`~repro.events.index.PredicateIndex` over the subscription store,
 and covering decisions (forwarding suppression, unmasking on removal)
 are :class:`~repro.events.index.CoveringPoset` lookups.  ``indexed=False``
-keeps the seed's linear scans as the measurable ablation baseline
-(benchmark E13), just as ``covering_enabled=False`` keeps the
+keeps the seed's linear scans as the reference the equivalence suites
+compare against, just as ``covering_enabled=False`` keeps the
 no-covering baseline (benchmark A1).
 
 Two routing behaviours complete Siena's advertisement/subscription
@@ -146,8 +146,8 @@ class BrokerNode(Host):
       suppression only) is the ablation measured in benchmark A1.
     ``indexed`` (default ``True``) — the counting
       :class:`~repro.events.index.PredicateIndex` matching fabric;
-      ``False`` restores the seed's linear scans, the "naive" ablation
-      measured in benchmark E13.
+      ``False`` restores the seed's linear scans, the "naive" reference
+      of the equivalence suites.
     ``adv_pruned`` (default ``False``) — advertisement-pruned
       subscription forwarding, benchmark E5's ablation: subscriptions
       travel only toward advertising subtrees.  Deliveries stay
@@ -156,9 +156,10 @@ class BrokerNode(Host):
       ``advert_on_first_publish``).
     ``batched`` (default ``False``) — the PublishBatch fast path:
       an inbound burst is routed as one batch (one ``match_batch``
-      sweep) and leaves as one batch per destination (benchmark E13's
-      batch rows).  Off, a burst is routed item by item — the same
-      accept → route → deliver path with batches of one, identically.
+      sweep) and leaves as one batch per destination (what the budget
+      benchmark's ``city_edge`` and ``mesh_churn`` run).  Off, a burst
+      is routed item by item — the same accept → route → deliver path
+      with batches of one, identically.
     ``advert_on_first_publish`` (default ``False``) — legacy-producer
       escape hatch under ``adv_pruned``: synthesise an advertisement
       from the first unadvertised publication's shape.
@@ -174,9 +175,10 @@ class BrokerNode(Host):
     ``shards`` (default ``1``) — partitioned local matching
       (:class:`~repro.events.sharding.ShardedSubscriptionIndex`): the
       subscription table splits across this many subject shards so each
-      event pays only its shard's candidate pools (benchmark E14;
-      2.67× at 4 shards on the city workload).  Requires ``indexed``;
-      ``1`` keeps the monolithic index — the E14 ablation baseline.
+      event pays only its shard's candidate pools (under half the
+      index ops at 4 shards, ``tests/test_sharding.py``; 2.67× on the
+      PR 10 city workload).  Requires ``indexed``; ``1`` keeps the
+      monolithic index.
 
     All knobs compose with mesh overlays — cycles are handled by
     path-tagged control state and the per-origin dedup floor — and with

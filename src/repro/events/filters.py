@@ -335,26 +335,35 @@ def _bool_satisfiable(constraints: list[Constraint]) -> bool:
     )
 
 
+def _tightest_bounds(constraints: list[Constraint]) -> tuple:
+    """The interval the order constraints leave, as ``(lo, lo_open, hi,
+    hi_open)``; a bound is ``None`` where nothing constrains that side."""
+    lo = hi = None
+    lo_open = hi_open = False
+    for c in constraints:
+        if c.op is Op.GT:
+            if lo is None or c.value > lo or (c.value == lo and not lo_open):
+                lo, lo_open = c.value, True
+        elif c.op is Op.GE:
+            if lo is None or c.value > lo:
+                lo, lo_open = c.value, False
+        elif c.op is Op.LT:
+            if hi is None or c.value < hi or (c.value == hi and not hi_open):
+                hi, hi_open = c.value, True
+        elif c.op is Op.LE:
+            if hi is None or c.value < hi:
+                hi, hi_open = c.value, False
+    return lo, lo_open, hi, hi_open
+
+
 def _numeric_satisfiable(constraints: list[Constraint]) -> bool:
     eqs = [c.value for c in constraints if c.op is Op.EQ]
     if eqs:
         # An equality pins the only candidate; every constraint votes.
         return all(constraint_admits(c, eqs[0]) for c in constraints)
-    lo, lo_open = -math.inf, False
-    hi, hi_open = math.inf, False
-    for c in constraints:
-        if c.op is Op.GT:
-            if c.value > lo or (c.value == lo and not lo_open):
-                lo, lo_open = c.value, True
-        elif c.op is Op.GE:
-            if c.value > lo:
-                lo, lo_open = c.value, False
-        elif c.op is Op.LT:
-            if c.value < hi or (c.value == hi and not hi_open):
-                hi, hi_open = c.value, True
-        elif c.op is Op.LE:
-            if c.value < hi:
-                hi, hi_open = c.value, False
+    lo, lo_open, hi, hi_open = _tightest_bounds(constraints)
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
     if lo > hi:
         return False
     if lo == hi:
@@ -380,23 +389,7 @@ def _string_satisfiable(constraints: list[Constraint]) -> bool:
         longest = max(suffixes, key=len)
         if not all(longest.endswith(s) for s in suffixes):
             return False
-    lo: str | None = None
-    lo_open = False
-    hi: str | None = None
-    hi_open = False
-    for c in constraints:
-        if c.op is Op.GT:
-            if lo is None or c.value > lo or (c.value == lo and not lo_open):
-                lo, lo_open = c.value, True
-        elif c.op is Op.GE:
-            if lo is None or c.value > lo:
-                lo, lo_open = c.value, False
-        elif c.op is Op.LT:
-            if hi is None or c.value < hi or (c.value == hi and not hi_open):
-                hi, hi_open = c.value, True
-        elif c.op is Op.LE:
-            if hi is None or c.value < hi:
-                hi, hi_open = c.value, False
+    lo, lo_open, hi, hi_open = _tightest_bounds(constraints)
     if lo is not None and hi is not None:
         if lo > hi:
             return False

@@ -23,8 +23,9 @@ engine pins events to patterns through its own per-type buckets):
   counter reaches its constraint count.  Only predicates that could
   plausibly be satisfied are ever examined.  The counters live in
   preallocated arrays reused across calls — the match hot path
-  allocates no per-event dicts (the PR 6 profile in
-  ``benchmarks/PROFILE.md`` showed per-event dict churn dominating).
+  allocates no per-event dicts (the PR 6 profile showed per-event dict
+  churn dominating; a traced budget run, ``benchmarks/budget/run.py
+  --traced``, is where ``index.match_s`` is read today).
   The buckets are walked by one routine, ``_AttributeIndex.satisfied``,
   which yields one entry per satisfied constraint; scalar ``match`` and
   the pure-python batch path count those entries as python lists, the
@@ -56,8 +57,8 @@ All structures are exact: they return precisely what the naive
 equivalence suites in ``tests/test_index_equivalence.py`` and
 ``tests/test_batch_equivalence.py`` enforce this across all ten
 operators — so consumers can dispatch through them while the
-``indexed=False`` ablation keeps the naive path measurable (benchmark
-E13 reports the speedup; its ``batch`` phase reports the batched one).
+``indexed=False`` reference keeps the naive path runnable (the budget
+benchmark's ``city_edge`` prices the indexed, batched path absolutely).
 """
 
 from __future__ import annotations

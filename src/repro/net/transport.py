@@ -7,12 +7,13 @@ move over unix-domain stream sockets through the wire codec in
 multi-process deployment (or as in-process loopback for tests) instead
 of only under the discrete-event kernel.
 
-Topology is a star: the :class:`AsyncioTransport` instance is the *hub*
-(it listens, and hosts whatever endpoints were registered on it —
-typically the :class:`~repro.events.sharding.ShardRouter` and the
-clients).  Worker processes connect with :func:`serve_worker`, announce
-the addresses they host via a ``Hello`` frame, and the hub relays any
-frame whose destination lives on another connection.  The relay costs a
+Topology is a star of :class:`AsyncioTransport` nodes.  The *hub*
+listens, hosts whatever endpoints were registered on it — typically the
+:class:`~repro.events.sharding.ShardRouter` and the clients — and relays
+any frame whose destination lives on another connection.  A worker is
+the same node dialling instead of listening (:func:`serve_worker`): it
+announces the addresses it hosts in a ``Hello`` frame and sends
+everything it does not host up that one connection.  The relay costs a
 hop, but keeps connection management O(workers) — and the scaling story
 lives in the *partitioned matching*, not in socket topology (see
 ``docs/ARCHITECTURE.md``).
@@ -31,18 +32,22 @@ Address = Any  # JSON scalar (str | int) on this transport
 Handler = Callable[[Address, Any], None]
 
 _READ_CHUNK = 65536
+_UPLINK = None  # route key of a dialled connection: "everything I do not host"
 
 
 class AsyncioTransport:
-    """The hub node: local endpoint registry + listener + relay.
+    """One node: local endpoint registry + dispatch queue + connections.
 
     ``send`` is synchronous (fleet components call it from inside their
     handlers): local destinations are queued onto the event loop, remote
-    ones are framed onto the owning connection, unknown ones dropped —
-    the same silent-drop semantics the simulated network gives a
-    vanished peer.  A connection that sends a frame the codec rejects
-    is closed (``frame_errors`` counts them) and its routes withdrawn,
-    exactly as on EOF; every other connection keeps being served.
+    ones are framed onto the connection that announced them — or, on a
+    node that dialled a hub, onto that connection.  A frame with nowhere
+    to go (no handler, no route, or a writer that is closing) is dropped
+    as the simulated network drops traffic to a vanished peer, and
+    counted in ``frames_dropped``.  A connection that sends a frame the
+    codec rejects is closed (``frame_errors`` counts them) and its routes
+    withdrawn, exactly as on EOF; every other connection keeps being
+    served.
     """
 
     def __init__(self, path: str | None = None):
@@ -54,6 +59,7 @@ class AsyncioTransport:
         self._pump: asyncio.Task | None = None
         self.frames_relayed = 0
         self.frame_errors = 0
+        self.frames_dropped = 0
 
     def register(self, addr: Address, handler: Handler) -> None:
         self._handlers[addr] = handler
@@ -67,8 +73,10 @@ class AsyncioTransport:
             assert self._queue is not None, "transport not started"
             self._queue.put_nowait((src, dst, payload))
             return
-        writer = self._routes.get(dst)
-        if writer is not None and not writer.is_closing():
+        writer = self._routes.get(dst) or self._routes.get(_UPLINK)
+        if writer is None or writer.is_closing():
+            self.frames_dropped += 1
+        else:
             writer.write(encode_frame(src, dst, payload))
 
     async def start(self) -> None:
@@ -78,6 +86,32 @@ class AsyncioTransport:
             self._server = await asyncio.start_unix_server(
                 self._serve_connection, path=self.path
             )
+
+    async def dial(self, path: str, connect_timeout: float) -> None:
+        """Join the hub listening at ``path`` and serve until it hangs up.
+
+        Retries until the hub listens (workers may be spawned first),
+        announces every registered handler and routes every destination
+        not hosted here up the connection.  A frame the codec rejects
+        ends the call with that ``FrameError``, once the connection is
+        closed.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + connect_timeout
+        while True:
+            try:
+                reader, writer = await asyncio.open_unix_connection(path)
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                if loop.time() > deadline:
+                    raise
+                await asyncio.sleep(0.05)
+        self._routes[_UPLINK] = writer
+        writer.write(encode_frame("", "", Hello(tuple(self._handlers))))
+        await writer.drain()
+        error = await self._serve_connection(reader, writer)
+        if error is not None:
+            raise error
 
     async def _pump_loop(self) -> None:
         assert self._queue is not None
@@ -92,29 +126,33 @@ class AsyncioTransport:
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> FrameError | None:
+        """Read one connection to its end, then withdraw its routes.
+
+        Returns the codec error that ended it, if one did: the listener
+        has no use for it, :meth:`dial` raises it.
+        """
         decoder = FrameDecoder()
-        announced: list[Address] = []
+        error = None
         try:
             while data := await reader.read(_READ_CHUNK):
                 for src, dst, message in decoder.feed(data):
                     if isinstance(message, Hello):
-                        for addr in message.addrs:
-                            self._routes[addr] = writer
-                            announced.append(addr)
+                        self._routes.update(dict.fromkeys(message.addrs, writer))
                         continue
                     if dst not in self._handlers:
                         self.frames_relayed += 1
                     self.send(src, dst, message)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
-        except FrameError:
+        except FrameError as exc:
             self.frame_errors += 1
+            error = exc
         finally:
-            for addr in announced:
-                if self._routes.get(addr) is writer:
-                    del self._routes[addr]
+            for addr in [a for a, w in self._routes.items() if w is writer]:
+                del self._routes[addr]
             writer.close()
+        return error
 
     async def drain(self) -> None:
         """Wait for queued local dispatches and outbound buffers."""
@@ -152,56 +190,19 @@ async def serve_worker(
     build: Callable[[Callable[[Address, Address, Any], None]], Dict[Address, Handler]],
     connect_timeout: float = 10.0,
 ) -> None:
-    """Run one worker node: connect to the hub and serve until EOF.
-
-    ``build(send)`` constructs the worker's endpoints and returns the
-    ``addr -> handler`` map to host; the addresses are announced to the
-    hub, which relays matching frames here.  Sends between two endpoints
-    of the same worker short-circuit locally.  A frame the codec rejects
-    ends the worker: the :class:`~repro.net.serialization.FrameError`
-    propagates to the caller once the connection is closed.
+    """Run one worker node: host what ``build(send)`` returns (an
+    ``addr -> handler`` map; sends between two of them short-circuit
+    locally), :meth:`~AsyncioTransport.dial` the hub at ``path`` and
+    serve until it hangs up or a bad frame raises ``FrameError``.
     """
-    deadline = asyncio.get_running_loop().time() + connect_timeout
-    while True:
-        try:
-            reader, writer = await asyncio.open_unix_connection(path)
-            break
-        except (FileNotFoundError, ConnectionRefusedError):
-            if asyncio.get_running_loop().time() > deadline:
-                raise
-            await asyncio.sleep(0.05)
-
-    local: Dict[Address, Handler] = {}
-    queue: asyncio.Queue = asyncio.Queue()
-
-    def send(src: Address, dst: Address, payload: Any) -> None:
-        if dst in local:
-            queue.put_nowait((src, dst, payload))
-        else:
-            writer.write(encode_frame(src, dst, payload))
-
-    local.update(build(send))
-    writer.write(encode_frame("", "", Hello(tuple(local))))
-    await writer.drain()
-
-    async def pump() -> None:
-        while True:
-            src, dst, payload = await queue.get()
-            handler = local.get(dst)
-            if handler is not None:
-                handler(src, payload)
-
-    pump_task = asyncio.create_task(pump())
-    decoder = FrameDecoder()
+    node = AsyncioTransport()
+    await node.start()
     try:
-        while data := await reader.read(_READ_CHUNK):
-            for src, dst, message in decoder.feed(data):
-                handler = local.get(dst)
-                if handler is not None:
-                    handler(src, message)
+        for addr, handler in build(node.send).items():
+            node.register(addr, handler)
+        await node.dial(path, connect_timeout)
     finally:
-        pump_task.cancel()
-        writer.close()
+        await node.stop()
 
 
 def _shard_worker_main(path: str, n_shards: int, shard_ids: tuple) -> None:

@@ -7,9 +7,8 @@ Three invariants, each cheap to check from file contents alone:
    tuple, whichever module under ``src/repro/events/`` holds it) and
    every matching mode named in the equivalence suites' ``MODES`` table
    is mentioned in ``docs/ARCHITECTURE.md``.
-2. Every ``benchmarks/bench_*.py``, every committed
-   ``benchmarks/BENCH_*.json`` baseline, and every workload and
-   end-to-end metric named in ``BENCHMARK.json`` is mentioned in
+2. Every ``benchmarks/bench_*.py`` and every workload and end-to-end
+   metric named in ``BENCHMARK.json`` is mentioned in
    ``docs/BENCHMARKS.md``.
 3. ``README.md`` links both documents.
 
@@ -156,12 +155,9 @@ def main() -> int:
                 "(routing or matching mode exists in code but not in the docs)"
             )
 
-    for pattern in ("bench_*.py", "BENCH_*.json"):
-        for path in sorted((ROOT / "benchmarks").glob(pattern)):
-            if path.name not in benchmarks_doc:
-                problems.append(
-                    f"docs/BENCHMARKS.md does not mention {path.name}"
-                )
+    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        if path.name not in benchmarks_doc:
+            problems.append(f"docs/BENCHMARKS.md does not mention {path.name}")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     for kind, key in (("workload", "workloads"), ("end-to-end metric", "end_to_end")):
