@@ -172,13 +172,14 @@ class BrokerNode(Host):
       with Scribe-style rendezvous trees on Pastry state
       (:mod:`repro.events.rendezvous`), measured against flooding in
       benchmark E5's ``dht_scale`` phase.
-    ``shards`` (default ``1``) — partitioned local matching
-      (:class:`~repro.events.sharding.ShardedSubscriptionIndex`): the
-      subscription table splits across this many subject shards so each
-      event pays only its shard's candidate pools (under half the
-      index ops at 4 shards, ``tests/test_sharding.py``; 2.67× on the
-      PR 10 city workload).  Requires ``indexed``; ``1`` keeps the
-      monolithic index.
+    ``shards`` (default ``1``) — how finely the subscription index
+      (:class:`~repro.events.sharding.ShardedSubscriptionIndex`) is
+      partitioned.  At ``1`` every pinned subject has its own private
+      index, so an event sweeps only its subject's filters plus the
+      shared wildcards.  ``n > 1`` folds subjects onto ``n`` hash-ring
+      shards, the placement a ``ShardRouter`` fleet uses across
+      processes; in one process that only coarsens the partition
+      (measured in ``docs/evidence/PR-22.md``).  Requires ``indexed``.
 
     All knobs compose with mesh overlays — cycles are handled by
     path-tagged control state and the per-origin dedup floor — and with
@@ -238,16 +239,16 @@ class BrokerNode(Host):
         # The two filter tables.  They flood over the overlay links only
         # in flood mode: in dht mode interest is grafted and adverts
         # register at their discovery root, so no filter crosses a link.
-        # With shards > 1 the subscription index is partitioned by event
-        # subject so each publication sweeps only its partition's
-        # candidate pools (repro.events.sharding); deliveries are
-        # identical either way.
+        # The subscription index is partitioned by event subject so each
+        # publication sweeps only its own subject's candidate pools
+        # (repro.events.sharding) — one partition per subject, or per
+        # shard of a plan when shards > 1; deliveries are identical.
         self.shards = shards
         links = self.neighbours if routing == "flood" else frozenset()
         self.subs = FilterTable(
             self.addr, links, self._send_control, Subscribe, Unsubscribe,
             indexed=indexed, covering_enabled=covering_enabled,
-            index=ShardedSubscriptionIndex(ShardPlan(shards)) if shards > 1 else None,
+            index=ShardedSubscriptionIndex(ShardPlan(shards) if shards > 1 else None),
             record=Subscription.fresh,
             blocked=self._sub_blocked if adv_pruned else None,
         )

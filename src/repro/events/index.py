@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Any
+from typing import Any, Sequence
 
 try:  # vectorised batch counting; every path has a pure-python fallback
     import numpy as _np
@@ -428,6 +428,20 @@ class PredicateIndex:
         del touched[:]
         return out
 
+    def holders(self, notifications: Sequence[Notification]) -> list[set]:
+        """Per notification, the payloads of every filter that admits it.
+
+        The delivery question, answered without handing ids back to be
+        looked up one by one: scalar :meth:`match` for a single
+        notification, one :meth:`match_batch` sweep for several.
+        """
+        if len(notifications) == 1:
+            matched_sets = [self.match(notifications[0])]
+        else:
+            matched_sets = self.match_batch(notifications)
+        payloads = self._payloads
+        return [{payloads[fid] for fid in matched} for matched in matched_sets]
+
     # ------------------------------------------------------------------
     # Batched matching
     # ------------------------------------------------------------------
@@ -641,6 +655,9 @@ def _cover_needs(constraint: Constraint) -> int:
     )
 
 
+_SHAPES_MAX = 1024  # interned shapes per poset; on overflow the table resets
+
+
 def _name_masks(filter: Filter) -> dict[str, int]:
     """Per-name OR of the filter's constraint presence bits."""
     masks: dict[str, int] = {}
@@ -672,9 +689,12 @@ class CoveringPoset:
         self._by_name: dict[str, set[int]] = {}
         # Per-entry pruning state: the (name, needed-bits) requirements a
         # probe must meet to possibly cover the entry, and the entry's
-        # own per-name presence masks (the mirror-direction test).
-        self._cover_reqs: dict[int, tuple] = {}
-        self._masks: dict[int, dict[str, int]] = {}
+        # own per-name presence masks (the mirror-direction test).  Both
+        # depend only on the filter's shape — names, operators, value
+        # families — so entries of one shape share one read-only pair
+        # (48 000 band subscriptions are three shapes).
+        self._pruning: dict[int, tuple[tuple, dict[str, int]]] = {}
+        self._shapes: dict[tuple, tuple[tuple, dict[str, int]]] = {}
         self._next_id = 0
         self.checks = 0  # exact filter_covers verifications performed
 
@@ -690,17 +710,22 @@ class CoveringPoset:
         self._name_counts[pid] = len(names)
         for name in names:
             self._by_name.setdefault(name, set()).add(pid)
-        self._cover_reqs[pid] = tuple(
-            (c.name, _cover_needs(c)) for c in filter.constraints
-        )
-        self._masks[pid] = _name_masks(filter)
+        shape = tuple((c.name, c.op, _family(c.value)) for c in filter.constraints)
+        pruning = self._shapes.get(shape)
+        if pruning is None:
+            if len(self._shapes) >= _SHAPES_MAX:
+                self._shapes.clear()  # live entries keep their own pair
+            pruning = self._shapes[shape] = (
+                tuple((c.name, _cover_needs(c)) for c in filter.constraints),
+                _name_masks(filter),
+            )
+        self._pruning[pid] = pruning
         return pid
 
     def remove(self, pid: int) -> Any:
         filter = self._filters.pop(pid)
         del self._name_counts[pid]
-        del self._cover_reqs[pid]
-        del self._masks[pid]
+        del self._pruning[pid]
         for name in filter.attribute_names():
             members = self._by_name[name]
             members.discard(pid)
@@ -733,10 +758,10 @@ class CoveringPoset:
         """Stored ids that could cover ``filter``: name-subset candidates
         whose every constraint sees a compatible-operator probe bit."""
         probe_masks = _name_masks(filter)
-        reqs = self._cover_reqs
+        pruning = self._pruning
         out = []
         for pid in self._subset_candidates(set(probe_masks)):
-            for name, needed in reqs[pid]:
+            for name, needed in pruning[pid][0]:
                 if not probe_masks[name] & needed:
                     break
             else:
@@ -781,10 +806,10 @@ class CoveringPoset:
         """
         filters = self._filters
         probe_reqs = [(c.name, _cover_needs(c)) for c in filter.constraints]
-        masks = self._masks
+        pruning = self._pruning
         out = []
         for pid in self._superset_candidates(filter.attribute_names()):
-            stored_masks = masks[pid]
+            stored_masks = pruning[pid][1]
             ok = True
             for name, needed in probe_reqs:
                 if not stored_masks.get(name, 0) & needed:

@@ -1,4 +1,4 @@
-"""Sharded subscription matching: partitioned indexes behind a thin router.
+"""Subject-partitioned subscription matching, in one process and across a fleet.
 
 The monolithic :class:`~repro.events.index.PredicateIndex` pays for the
 *whole* population on every event: range thresholds, EXISTS lists and NE
@@ -6,40 +6,41 @@ pools are keyed only by attribute name, so an event carrying
 ``strength`` sweeps every subscription constraining ``strength`` —
 regardless of the event's subject.  This module partitions the
 subscription space by the event subject (the ``type`` attribute, the
-same key rendezvous routing hashes) so each shard owns its own
-``PredicateIndex`` over roughly ``1/n`` of the population, and a
-publication visits **exactly one** shard:
+same key rendezvous routing hashes) so an event sweeps its own subject's
+filters and not the city's.  Which subject a filter is about is decided
+in one place, :func:`~repro.events.filters.pinned_subject` (the canonical
+form rendezvous keys also hash, so ``2`` and ``2.0`` land together
+exactly as matching equality folds them): an ``EQ`` constraint on
+``type`` *pins* the filter; a filter with none, or with a non-``EQ``
+one, is a *wildcard* that any subject's events may match.
 
-* A filter that pins the partition attribute with an ``EQ`` constraint
-  is stored only on the owner shard of that value (consistent hashing
-  over :func:`~repro.events.filters.pinned_subject`, the canonical form
-  rendezvous keys also hash, so ``2`` and ``2.0`` land together exactly
-  as matching equality folds them).
-* Every other filter — no partition constraint, or a non-``EQ`` one —
-  is a *wildcard* with respect to the partition and is replicated to
-  all shards.  Replication is the correctness backstop: whichever shard
-  an event visits, the wildcards are there.
-* A publication routes to the owner shard of its subject value, or to a
-  dedicated absent-subject bucket when the attribute is missing (only
-  wildcards can match such an event, and those are everywhere).
+**In one process** — :class:`ShardedSubscriptionIndex`, the index every
+``BrokerNode`` builds for its subscription table — partitions compose
+*over* ``PredicateIndex`` and each event makes **two visits**: a pinned
+filter lives in its subject's private ``PredicateIndex`` (created on
+first use, dropped when its last filter leaves), every wildcard in
+**one** shared ``PredicateIndex``, and an event visits the shared index
+and its own subject's partition and unions the two.  A filter is stored
+once, so there is nothing to replicate and nothing to deduplicate.
+With no :class:`ShardPlan` the partition key is the canonical subject
+itself — the finest partition there is; with one (``BrokerNode(shards=
+n)``) subjects fold onto ``n`` hash-ring shards, which in one process
+only coarsens the partition.  The plan exists for the other layer:
 
-Every matching subscription is therefore found on the one visited shard,
-once — no cross-shard deduplication, and deliveries are identical to the
-monolith by construction (the randomized equivalence suites pin this).
+**Across processes** — :class:`ShardRouter` + :class:`ShardEndpoint`,
+the message-passing fleet — a shard is another process and a second
+visit would be a second message, so here (and only here) wildcards are
+*replicated* to every shard: a publication fans to **exactly one**
+shard, the plan's owner of its subject (or a dedicated absent-subject
+bucket), and finds every matching subscription there, once.  Clients
+have a consistent-hash *home* shard responsible for their deliveries.
+Both classes are transport-agnostic — the simulated kernel
+(``repro.simulation.transport.SimTransport``) or real sockets
+(``repro.net.transport.AsyncioTransport``) — and :class:`FleetClient`
+is a minimal client for either.
 
-Three layers share the plan:
-
-* :class:`ShardedSubscriptionIndex` — an in-process drop-in for
-  ``PredicateIndex`` (``add``/``remove``/``match``/``match_batch``/
-  ``payload``), selected by ``BrokerNode(shards=n)``.
-* :class:`ShardRouter` + :class:`ShardEndpoint` — the message-passing
-  fleet: a thin front that fans ``Publish``/``PublishBatch`` to only
-  the shard whose partition can match, with consistent-hash client
-  placement (each client has a *home* shard responsible for its
-  deliveries).  Both are transport-agnostic: the same objects run on
-  the simulated kernel (``repro.simulation.transport.SimTransport``)
-  and on real sockets (``repro.net.transport.AsyncioTransport``).
-* :class:`FleetClient` — a minimal client for either transport.
+Deliveries are identical to the monolith in both layers by construction
+(the randomized equivalence suites pin this).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.events.wire import (
     NotifyBatch,
@@ -142,93 +143,131 @@ class ShardPlan:
         return self._locate(_hash64(f"client:{client!r}"))
 
 
+# Below this many filters a partition is swept event by event, not by
+# ``match_batch``.  Measured on band filters (docs/evidence/PR-22.md):
+# with warm numpy mirrors ``bincount`` wins from ~32 filters up; one write
+# between batches makes it rebuild them and moves the crossover to ~50
+# filters for 8-event groups, ~200 for 2-event ones.  Decided here and not
+# in ``match_batch``, whose direct callers (the fleet's shards) differ.
+_SCALAR_BELOW = 128
+
+
 class ShardedSubscriptionIndex:
-    """Drop-in for :class:`PredicateIndex`, partitioned across shards.
+    """Drop-in for :class:`PredicateIndex`, partitioned by pinned subject.
 
     Same surface — ``add(filter, payload) -> rid``, ``remove(rid)``,
-    ``match(n) -> set[rid]``, ``match_batch``, ``payload(rid)``,
-    ``filter_of(rid)`` — so ``BrokerNode`` swaps it in unchanged.  Each
-    shard is a private ``PredicateIndex``; a match visits exactly one,
-    so per-event candidate work (threshold windows, EXISTS lists, NE
-    pools) shrinks by roughly the shard count on balanced workloads.
+    ``match``, ``match_batch``, ``holders``, ``payload(rid)``,
+    ``filter_of(rid)`` — so ``FilterTable`` swaps it in unchanged.  A
+    filter that pins a subject lives in that partition's private
+    ``PredicateIndex`` (keyed by the canonical subject, or by
+    ``plan.owner`` of it when a plan folds subjects onto ``n`` shards),
+    created on first use and dropped with its last filter; every other
+    filter lives in :attr:`shared`.  An event visits the shared index and
+    its own subject's partition and unions the two — nothing is
+    replicated, nothing deduplicated.  A ``rid`` is ``(partition key,
+    fid)``, so the composite keeps no per-filter books of its own.
     """
 
-    def __init__(self, plan: ShardPlan) -> None:
+    def __init__(self, plan: ShardPlan | None = None) -> None:
         self.plan = plan
-        self.shards = [PredicateIndex() for _ in range(plan.n_shards)]
-        # rid -> ((shard, fid), ...); one pair for pinned filters, one
-        # per shard for replicated wildcards.
-        self._entries: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._filters: dict[int, Filter] = {}
-        self._payloads: dict[int, Any] = {}
-        # Per-shard reverse map: local fid -> global rid.  A dense list,
-        # not a dict — PredicateIndex allocates fids monotonically, and
-        # this lookup runs once per *match*, the hottest spot here.
-        # Removed fids leave a stale slot that no match can return.
-        self._rid_of: list[list[int]] = [[] for _ in range(plan.n_shards)]
-        self._next_rid = 0
+        self.shared = PredicateIndex()
+        self.partitions: dict[Hashable, PredicateIndex] = {}
+        self._size = 0
+        self._dropped_ops = 0  # walks done by partitions since dropped
 
     def __len__(self) -> int:
-        return len(self._filters)
+        return self._size
 
     @property
     def ops(self) -> int:
-        """Total candidate-inspection work across all shards."""
-        return sum(shard.ops for shard in self.shards)
+        """Total candidate-inspection work across every index visited."""
+        live = sum(part.ops for part in self.partitions.values())
+        return self.shared.ops + live + self._dropped_ops
 
-    def add(self, filter: Filter, payload: Any = None) -> int:
-        rid = self._next_rid
-        self._next_rid += 1
-        target = self.plan.shard_of_filter(filter)
-        if target is None:
-            shard_ids: Iterable[int] = range(self.plan.n_shards)
+    def _key(self, canon: str | None) -> Hashable:
+        if canon is None or self.plan is None:
+            return canon
+        return self.plan.owner(canon)
+
+    def _index(self, key: Hashable) -> PredicateIndex:
+        return self.shared if key is None else self.partitions[key]
+
+    def add(self, filter: Filter, payload: Any = None) -> tuple:
+        key = self._key(pinned_subject(filter))
+        if key is None:
+            index = self.shared
         else:
-            shard_ids = (target,)
-        entries = []
-        for sid in shard_ids:
-            fid = self.shards[sid].add(filter, payload=payload)
-            rid_of = self._rid_of[sid]
-            assert fid == len(rid_of)
-            rid_of.append(rid)
-            entries.append((sid, fid))
-        self._entries[rid] = tuple(entries)
-        self._filters[rid] = filter
-        self._payloads[rid] = payload
-        return rid
+            index = self.partitions.get(key)
+            if index is None:
+                index = self.partitions[key] = PredicateIndex()
+        self._size += 1
+        return key, index.add(filter, payload=payload)
 
-    def remove(self, rid: int) -> Any:
-        entries = self._entries.pop(rid)
-        for sid, fid in entries:
-            self.shards[sid].remove(fid)
-        del self._filters[rid]
-        return self._payloads.pop(rid)
+    def remove(self, rid: tuple) -> Any:
+        key, fid = rid
+        index = self._index(key)
+        payload = index.remove(fid)
+        self._size -= 1
+        if not index and key is not None:
+            self._dropped_ops += index.ops
+            del self.partitions[key]
+        return payload
 
-    def payload(self, rid: int) -> Any:
-        return self._payloads[rid]
+    def payload(self, rid: tuple) -> Any:
+        return self._index(rid[0]).payload(rid[1])
 
-    def filter_of(self, rid: int) -> Filter:
-        return self._filters[rid]
+    def filter_of(self, rid: tuple) -> Filter:
+        return self._index(rid[0]).filter_of(rid[1])
 
-    def match(self, notification: Notification) -> set[int]:
-        sid = self.plan.shard_of_event(notification)
-        rid_of = self._rid_of[sid]
-        return {rid_of[fid] for fid in self.shards[sid].match(notification)}
+    def _sweep(self, notifications: Sequence[Notification], visit) -> list[set]:
+        """Per notification, what ``visit(key, index, group)`` finds in the
+        shared index united with what it finds in the subject's own."""
+        shared = self.shared  # an empty one is not worth the visit
+        out = visit(None, shared, notifications) if shared else [set() for _ in notifications]
+        partitions = self.partitions
+        groups: dict[Hashable, list[int]] = {}
+        for i, notification in enumerate(notifications):
+            value = notification.get("type")
+            if value is not None:  # no subject: only unpinned filters can match
+                key = self._key(canonical_subject(value))
+                if key in partitions:
+                    groups.setdefault(key, []).append(i)
+        for key, positions in groups.items():
+            group = [notifications[i] for i in positions]
+            for i, found in zip(positions, visit(key, partitions[key], group)):
+                out[i] |= found
+        return out
+
+    def match(self, notification: Notification) -> set[tuple]:
+        return self._sweep(
+            (notification,),
+            lambda key, index, group: [_rids(key, index.match(group[0]))],
+        )[0]
 
     def match_batch(
-        self, notifications: list, vectorized: bool | None = None
-    ) -> list[set[int]]:
-        groups: dict[int, list[int]] = {}
-        for i, notification in enumerate(notifications):
-            groups.setdefault(self.plan.shard_of_event(notification), []).append(i)
-        results: list[set[int] | None] = [None] * len(notifications)
-        for sid, positions in groups.items():
-            rid_of = self._rid_of[sid]
-            matched = self.shards[sid].match_batch(
-                [notifications[i] for i in positions], vectorized=vectorized
-            )
-            for i, fids in zip(positions, matched):
-                results[i] = {rid_of[fid] for fid in fids}
-        return results  # type: ignore[return-value]
+        self, notifications: Sequence[Notification], vectorized: bool | None = None
+    ) -> list[set[tuple]]:
+        return self._sweep(
+            notifications,
+            lambda key, index, group: [
+                _rids(key, matched)
+                for matched in index.match_batch(group, vectorized=vectorized)
+            ],
+        )
+
+    def holders(self, notifications: Sequence[Notification]) -> list[set]:
+        return self._sweep(notifications, _holders)
+
+
+def _rids(key: Hashable, fids: set[int]) -> set[tuple]:
+    return {(key, fid) for fid in fids}
+
+
+def _holders(key: Hashable, index: PredicateIndex, group: Sequence[Notification]) -> list[set]:
+    if len(index) < _SCALAR_BELOW:
+        payload = index.payload
+        return [{payload(fid) for fid in index.match(n)} for n in group]
+    return index.holders(group)
 
 
 # ----------------------------------------------------------------------

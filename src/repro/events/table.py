@@ -31,7 +31,7 @@ the indexed fabric against.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Collection, Sequence
+from typing import Any, Callable, Collection, Hashable, Sequence
 
 from repro.events.covering import filter_covers
 from repro.events.filters import Filter
@@ -54,7 +54,8 @@ class FilterTable:
     ``send(neighbour, payload)`` the owner's control-message sender.
     ``forward_msg(filter, path, path_reset)`` / ``retract_msg(filter)``
     are the wire pair of this kind.  ``index`` replaces the default
-    :class:`PredicateIndex` (the subscription table may be sharded),
+    :class:`PredicateIndex` (the subscription table is partitioned by
+    subject, :mod:`repro.events.sharding`),
     ``record(filter, source)`` builds what the by-source lists hold (an
     object exposing ``.filter``; the bare filter by default), and
     ``blocked(neighbour, filter)`` withholds forwarding toward a link —
@@ -92,7 +93,7 @@ class FilterTable:
         # them.  Counting index over every stored filter (payload: the
         # source it arrived from).
         self.index = PredicateIndex() if index is None else index
-        self.entry_ids: dict[tuple[Address, Filter], int] = {}
+        self.entry_ids: dict[tuple[Address, Filter], Hashable] = {}
         # Covering poset over the same store — drives the "what was the
         # removed filter masking?" query on removal.
         self.poset = CoveringPoset()
@@ -142,9 +143,8 @@ class FilterTable:
         leave in, so simulator tie-breaks do not depend on the matching
         strategy — and ``exclude`` (where a publication came from) is
         never among them.  This is the one place that knows indexed from
-        scanned and one notification from many: ``index.match`` for a
-        single notification, one ``match_batch`` sweep for several, the
-        ``Filter.matches`` scan when ``indexed`` is off.
+        scanned: ``index.holders`` (which tells one notification from
+        many), or the ``Filter.matches`` scan when ``indexed`` is off.
         """
         if not self.indexed:
             filter_of = self._filter_of
@@ -157,14 +157,8 @@ class FilterTable:
                 ]
                 for notification in notifications
             ]
-        if len(notifications) == 1:
-            matched_sets = [self.index.match(notifications[0])]
-        else:
-            matched_sets = self.index.match_batch(notifications)
-        payload = self.index.payload
         out: list[list[Address]] = []
-        for matched in matched_sets:
-            holders = {payload(fid) for fid in matched}
+        for holders in self.index.holders(notifications):
             holders.discard(exclude)
             out.append([s for s in self.by_source if s in holders] if holders else [])
         return out

@@ -14,7 +14,9 @@ import random
 import pytest
 
 from repro.events import index as index_module
-from repro.events.filters import Filter, contains, eq, exists, gt, ne
+from repro.events.filters import (
+    Filter, canonical_subject, contains, eq, exists, gt, ne, pinned_subject,
+)
 from repro.events.index import PredicateIndex
 from repro.events.model import make_event
 from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
@@ -98,24 +100,34 @@ class TestOpsHasOneDefinition:
         assert expected > 0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sharded_ops_is_the_walk_of_the_visited_shards(self, seed):
+    @pytest.mark.parametrize("n_shards", [None, 4])
+    def test_sharded_ops_is_the_walk_of_the_visited_shards(self, seed, n_shards):
+        # An event walks the shared index once and its own subject's
+        # partition once: wildcards are counted once, not per shard.
         rng = random.Random(100 + seed)
-        sharded = {path: ShardedSubscriptionIndex(ShardPlan(4)) for path in PATHS}
-        live: dict[int, Filter] = {}
+        plan = None if n_shards is None else ShardPlan(n_shards)
+        sharded = {path: ShardedSubscriptionIndex(plan) for path in PATHS}
+        live: dict[tuple, Filter] = {}
         expected = 0
+
+        def partition(canon):
+            return canon if plan is None or canon is None else plan.owner(canon)
+
         for _round in range(6):
             churn(rng, sharded.values(), live)
             batch = random_batch(rng)
-            plan = sharded["scalar"].plan
             for n in batch:
-                sid = plan.shard_of_event(n)
-                stored = [f for f in live.values() if plan.shard_of_filter(f) in (None, sid)]
+                visited = {None}
+                if "type" in n:
+                    visited.add(partition(canonical_subject(n["type"])))
+                stored = [f for f in live.values() if partition(pinned_subject(f)) in visited]
                 expected += satisfied_constraints(stored, [n])
             scalar = run(sharded["scalar"], batch, "scalar")
             for path in PATHS[1:]:
                 assert run(sharded[path], batch, path) == scalar, path
             for path, index in sharded.items():
-                assert index.ops == sum(shard.ops for shard in index.shards) == expected, path
+                assert index.ops == expected, path
+        assert expected > 0
 
 
 @needs_numpy
