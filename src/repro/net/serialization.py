@@ -13,7 +13,12 @@ the int/float distinction the matching families care about.
 
 Frames are length-prefixed: a 4-byte big-endian payload size, then the
 UTF-8 JSON of ``[src, dst, body]``.  Transport addresses must therefore
-be JSON scalars (strings or ints) — the fleet builders use strings.
+be JSON scalars (strings or ints) — the fleet builders use strings.  A
+:class:`Frames` body bundles what one node sent one peer in one loop
+turn; :meth:`FrameDecoder.feed` unpacks it.  A body's notifications sit
+in one table (key ``"N"``), each distinct object once, and messages refer
+to rows by index; the decoder still builds every row through
+``Notification`` and hands the messages shared immutable objects.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from repro.events.sharding import Attach, Deliver, Detach, Routed
 
 _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # a malformed prefix must not OOM us
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_loads = json.JSONDecoder().decode
 
 
 class FrameError(ValueError):
@@ -50,6 +57,13 @@ class Hello:
     """Transport control: a connecting node announces the addresses it hosts."""
 
     addrs: tuple
+
+
+@dataclass(slots=True)
+class Frames:
+    """Transport envelope: ``((src, dst, message), ...)`` bound for one peer."""
+
+    frames: tuple
 
 
 # ----------------------------------------------------------------------
@@ -73,38 +87,30 @@ def decode_filter(obj: list) -> Filter:
     )
 
 
-def encode_notification(notification: Notification) -> dict:
-    return dict(notification)
+def _table(rows: Any) -> list:
+    if type(rows) is not list or any(type(row) is not dict for row in rows):
+        raise TypeError("notification table is not a list of objects")
+    return [Notification(row) for row in rows]
 
 
-def decode_notification(obj: dict) -> Notification:
-    return Notification(obj)
+def _row(table: list, ref: Any) -> Notification:
+    if type(ref) is not int or ref < 0:  # True is an int; -1 is a valid python index
+        raise ValueError(f"bad notification reference: {ref!r}")
+    return table[ref]
 
 
 def _pub_id(obj: list | None) -> tuple | None:
     return None if obj is None else (obj[0], obj[1])
 
 
-def _encode_items(items: tuple) -> list:
-    return [
-        [encode_notification(notification), list(pub_id) if pub_id else None]
-        for notification, pub_id in items
-    ]
-
-
-def _decode_items(obj: list) -> tuple:
-    return tuple(
-        (decode_notification(n), _pub_id(pid)) for n, pid in obj
-    )
-
-
 # ----------------------------------------------------------------------
-# Message-level codec: one tag per wire dataclass, one table each way
+# Message-level codec: one tag per wire dataclass, one table each way.
+# Encoders get ``ref(notification) -> row``, decoders the decoded rows.
 # ----------------------------------------------------------------------
-def _encode_pathed(tag: str) -> Callable[[Any], dict]:
+def _encode_pathed(tag: str) -> Callable[[Any, Callable], dict]:
     """Encoder for Subscribe/Advertise: ``p``/``r`` only when non-default."""
 
-    def encode(message: Any) -> dict:
+    def encode(message: Any, ref: Callable) -> dict:
         obj = {"t": tag, "f": encode_filter(message.filter)}
         if message.path:
             obj["p"] = list(message.path)
@@ -115,85 +121,97 @@ def _encode_pathed(tag: str) -> Callable[[Any], dict]:
     return encode
 
 
-def _decode_pathed(cls: type) -> Callable[[dict], Any]:
-    return lambda obj: cls(
+def _decode_pathed(cls: type) -> Callable[[dict, list], Any]:
+    return lambda obj, table: cls(
         decode_filter(obj["f"]), tuple(obj.get("p", ())), obj.get("r", False)
     )
 
 
-def _encode_notifications(notifications: tuple) -> list:
-    return [encode_notification(n) for n in notifications]
-
-
-def _decode_notifications(obj: list) -> tuple:
-    return tuple(decode_notification(n) for n in obj)
-
-
 # No wire class is subclassed, so each direction is one dict lookup: on
-# the message's exact type to encode, on its tag to decode.
-_ENCODERS: dict[type, Callable[[Any], dict]] = {
+# the message's exact type to encode, on its tag to decode.  ``Frames``
+# is in neither: it is only ever a body's outermost message.
+_ENCODERS: dict[type, Callable[[Any, Callable], dict]] = {
     Subscribe: _encode_pathed("sub"),
-    Unsubscribe: lambda m: {"t": "unsub", "f": encode_filter(m.filter)},
+    Unsubscribe: lambda m, ref: {"t": "unsub", "f": encode_filter(m.filter)},
     Advertise: _encode_pathed("adv"),
-    Unadvertise: lambda m: {"t": "unadv", "f": encode_filter(m.filter)},
-    Publish: lambda m: {
-        "t": "pub",
-        "n": encode_notification(m.notification),
-        "id": list(m.pub_id) if m.pub_id else None,
-    },
-    PublishBatch: lambda m: {"t": "pubb", "items": _encode_items(m.items)},
-    Notify: lambda m: {"t": "ntf", "n": encode_notification(m.notification)},
-    NotifyBatch: lambda m: {"t": "ntfb", "ns": _encode_notifications(m.notifications)},
-    Routed: lambda m: {"t": "routed", "src": m.source, "m": encode_message(m.message)},
-    Attach: lambda m: {"t": "attach", "c": m.client},
-    Detach: lambda m: {"t": "detach", "c": m.client},
-    Deliver: lambda m: {
-        "t": "dlv",
-        "items": [[client, _encode_notifications(ns)] for client, ns in m.items],
-    },
-    Hello: lambda m: {"t": "hello", "addrs": list(m.addrs)},
+    Unadvertise: lambda m, ref: {"t": "unadv", "f": encode_filter(m.filter)},
+    Publish: lambda m, ref: {"t": "pub", "n": ref(m.notification), "id": m.pub_id or None},
+    PublishBatch: lambda m, ref: {"t": "pubb", "items": [[ref(n), i or None] for n, i in m.items]},
+    Notify: lambda m, ref: {"t": "ntf", "n": ref(m.notification)},
+    NotifyBatch: lambda m, ref: {"t": "ntfb", "ns": list(map(ref, m.notifications))},
+    Routed: lambda m, ref: {"t": "routed", "src": m.source, "m": _encode(m.message, ref)},
+    Attach: lambda m, ref: {"t": "attach", "c": m.client},
+    Detach: lambda m, ref: {"t": "detach", "c": m.client},
+    Deliver: lambda m, ref: {"t": "dlv", "items": [[c, list(map(ref, ns))] for c, ns in m.items]},
+    Hello: lambda m, ref: {"t": "hello", "addrs": list(m.addrs)},
 }
 
-_DECODERS: dict[str, Callable[[dict], Any]] = {
+_DECODERS: dict[str, Callable[[dict, list], Any]] = {
     "sub": _decode_pathed(Subscribe),
-    "unsub": lambda obj: Unsubscribe(decode_filter(obj["f"])),
+    "unsub": lambda obj, t: Unsubscribe(decode_filter(obj["f"])),
     "adv": _decode_pathed(Advertise),
-    "unadv": lambda obj: Unadvertise(decode_filter(obj["f"])),
-    "pub": lambda obj: Publish(decode_notification(obj["n"]), _pub_id(obj["id"])),
-    "pubb": lambda obj: PublishBatch(_decode_items(obj["items"])),
-    "ntf": lambda obj: Notify(decode_notification(obj["n"])),
-    "ntfb": lambda obj: NotifyBatch(_decode_notifications(obj["ns"])),
-    "routed": lambda obj: Routed(obj["src"], decode_message(obj["m"])),
-    "attach": lambda obj: Attach(obj["c"]),
-    "detach": lambda obj: Detach(obj["c"]),
-    "dlv": lambda obj: Deliver(
-        tuple((client, _decode_notifications(ns)) for client, ns in obj["items"])
-    ),
-    "hello": lambda obj: Hello(tuple(obj["addrs"])),
+    "unadv": lambda obj, t: Unadvertise(decode_filter(obj["f"])),
+    "pub": lambda obj, t: Publish(_row(t, obj["n"]), _pub_id(obj["id"])),
+    "pubb": lambda obj, t: PublishBatch(tuple([(_row(t, n), _pub_id(i)) for n, i in obj["items"]])),
+    "ntf": lambda obj, t: Notify(_row(t, obj["n"])),
+    "ntfb": lambda obj, t: NotifyBatch(tuple([_row(t, n) for n in obj["ns"]])),
+    "routed": lambda obj, t: Routed(obj["src"], _decode(obj["m"], t)),
+    "attach": lambda obj, t: Attach(obj["c"]),
+    "detach": lambda obj, t: Detach(obj["c"]),
+    "dlv": lambda obj, t: Deliver(tuple([(c, tuple([_row(t, n) for n in ns])) for c, ns in obj["items"]])),
+    "hello": lambda obj, t: Hello(tuple(obj["addrs"])),
 }
 
 
-def encode_message(message: Any) -> dict:
+def _encode(message: Any, ref: Callable) -> dict:
     encoder = _ENCODERS.get(type(message))
     if encoder is None:
         raise TypeError(f"no wire encoding for {type(message).__name__}")
-    return encoder(message)
+    return encoder(message, ref)
 
 
-def decode_message(obj: dict) -> Any:
+def _decode(obj: dict, table: list) -> Any:
     decoder = _DECODERS.get(obj["t"])
     if decoder is None:
         raise ValueError(f"unknown wire tag: {obj['t']!r}")
-    return decoder(obj)
+    return decoder(obj, table)
+
+
+def encode_message(message: Any) -> dict:
+    rows: list[dict] = []
+    row_of: dict[int, int] = {}
+
+    def ref(notification: Notification) -> int:
+        # Keyed by identity, as {"x": 2} == {"x": True}; the message keeps it alive.
+        row = row_of.get(id(notification))
+        if row is None:
+            row = row_of[id(notification)] = len(rows)
+            rows.append(notification._attributes.copy())
+        return row
+
+    if type(message) is Frames:
+        obj = {"t": "frames", "fs": [[s, d, _encode(m, ref)] for s, d, m in message.frames]}
+    else:
+        obj = _encode(message, ref)
+    if rows:
+        obj["N"] = rows
+    return obj
+
+
+def decode_message(obj: dict) -> Any:
+    if type(obj) is not dict:
+        raise TypeError(f"message body is not an object: {obj!r}")
+    table = _table(obj.get("N", []))
+    if obj.get("t") == "frames":  # unpacking checks arity; nested, it is an unknown tag
+        return Frames(tuple([(s, d, _decode(m, table)) for s, d, m in obj["fs"]]))
+    return _decode(obj, table)
 
 
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
 def encode_frame(src: Any, dst: Any, message: Any) -> bytes:
-    body = json.dumps(
-        [src, dst, encode_message(message)], separators=(",", ":")
-    ).encode()
+    body = _dumps([src, dst, encode_message(message)]).encode()
     return _LEN.pack(len(body)) + body
 
 
@@ -204,14 +222,15 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> Iterator[tuple[Any, Any, Any]]:
-        """Yield every complete ``(src, dst, message)`` frame so far.
+        """Yield every complete ``(src, dst, message)`` so far.
 
         Bytes come from outside the process: a frame that does not
         decode — body not JSON or not ``[src, dst, {...}]``, unknown tag,
-        fields missing or misshapen — raises :class:`FrameError`.  The
-        bad body is consumed first, so the frames behind it are still
-        there for the next ``feed``; an oversize prefix is not — the
-        stream has lost framing and every later ``feed`` raises.
+        fields or table rows missing or misshapen — raises
+        :class:`FrameError`.  The bad body is consumed first, so the frames
+        behind it are still there for the next ``feed``; an oversize
+        prefix is not — the stream has lost framing and every later
+        ``feed`` raises.
         """
         self._buffer.extend(data)
         while True:
@@ -226,8 +245,11 @@ class FrameDecoder:
             body = bytes(self._buffer[_LEN.size : end])
             del self._buffer[:end]
             try:
-                src, dst, obj = json.loads(body)
+                src, dst, obj = _loads(body.decode())
                 message = decode_message(obj)
             except (ValueError, LookupError, TypeError) as exc:
                 raise FrameError(f"malformed frame body: {exc!r}") from exc
-            yield src, dst, message
+            if type(message) is Frames:
+                yield from message.frames
+            else:
+                yield src, dst, message

@@ -1,7 +1,7 @@
 """Asyncio socket transport: the broker protocol on real connections.
 
 Same interface as :class:`repro.simulation.transport.SimTransport` —
-``register(addr, handler)`` + ``send(src, dst, payload)`` — but frames
+``register(addr, handler)`` + ``send(src, dst, payload)`` — but messages
 move over unix-domain stream sockets through the wire codec in
 :mod:`repro.net.serialization`, so the sharded fleet runs as a real
 multi-process deployment (or as in-process loopback for tests) instead
@@ -10,13 +10,18 @@ of only under the discrete-event kernel.
 Topology is a star of :class:`AsyncioTransport` nodes.  The *hub*
 listens, hosts whatever endpoints were registered on it — typically the
 :class:`~repro.events.sharding.ShardRouter` and the clients — and relays
-any frame whose destination lives on another connection.  A worker is
+any message whose destination lives on another connection.  A worker is
 the same node dialling instead of listening (:func:`serve_worker`): it
 announces the addresses it hosts in a ``Hello`` frame and sends
 everything it does not host up that one connection.  The relay costs a
 hop, but keeps connection management O(workers) — and the scaling story
 lives in the *partitioned matching*, not in socket topology (see
 ``docs/ARCHITECTURE.md``).
+
+A remote message joins its connection's outbox, which goes out once per
+event-loop turn as one :class:`~repro.net.serialization.Frames` envelope:
+the per-frame codec cost is paid per peer per turn, not per message, and
+a peer still sees its messages in the order they were sent.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import multiprocessing
 import os
 from typing import Any, Callable, Dict
 
-from repro.net.serialization import FrameDecoder, FrameError, Hello, encode_frame
+from repro.net.serialization import MAX_FRAME_BYTES, FrameDecoder, FrameError, Frames, Hello, encode_frame
 
 Address = Any  # JSON scalar (str | int) on this transport
 Handler = Callable[[Address, Any], None]
@@ -40,20 +45,21 @@ class AsyncioTransport:
 
     ``send`` is synchronous (fleet components call it from inside their
     handlers): local destinations are queued onto the event loop, remote
-    ones are framed onto the connection that announced them — or, on a
-    node that dialled a hub, onto that connection.  A frame with nowhere
-    to go (no handler, no route, or a writer that is closing) is dropped
-    as the simulated network drops traffic to a vanished peer, and
-    counted in ``frames_dropped``.  A connection that sends a frame the
-    codec rejects is closed (``frame_errors`` counts them) and its routes
-    withdrawn, exactly as on EOF; every other connection keeps being
-    served.
+    ones join the outbox of the connection that announced them — or, on
+    a node that dialled a hub, of that connection.  A message with
+    nowhere to go (no handler, no route, a closing writer, or alone past
+    the peer's ``MAX_FRAME_BYTES``) is dropped as the simulated network
+    drops traffic to a vanished peer, and counted in ``frames_dropped``.
+    A connection that sends a frame the codec rejects is closed
+    (``frame_errors`` counts them) and its routes withdrawn, exactly as
+    on EOF; every other connection keeps being served.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._handlers: Dict[Address, Handler] = {}
         self._routes: Dict[Address, asyncio.StreamWriter] = {}
+        self._outboxes: Dict[asyncio.StreamWriter, list] = {}
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._pump: asyncio.Task | None = None
@@ -76,8 +82,35 @@ class AsyncioTransport:
         writer = self._routes.get(dst) or self._routes.get(_UPLINK)
         if writer is None or writer.is_closing():
             self.frames_dropped += 1
+            return
+        outbox = self._outboxes.get(writer)
+        if outbox is None:
+            outbox = self._outboxes[writer] = []
+            asyncio.get_running_loop().call_soon(self._flush, writer)
+        outbox.append((src, dst, payload))
+
+    def _flush(self, writer: asyncio.StreamWriter) -> None:
+        messages = self._outboxes.pop(writer, None)  # None: drain() or stop() got there first
+        if messages and writer.is_closing():
+            self.frames_dropped += len(messages)
+        elif messages:
+            self._write(writer, messages)
+
+    def _write(self, writer: asyncio.StreamWriter, messages: list) -> None:
+        """One frame, or halves of it until each fits the peer's cap."""
+        frame = encode_frame("", "", Frames(tuple(messages)))  # a module global: tracers patch it
+        if len(frame) - 4 <= MAX_FRAME_BYTES:  # 4: the length prefix
+            writer.write(frame)
+        elif len(messages) == 1:
+            self.frames_dropped += 1
         else:
-            writer.write(encode_frame(src, dst, payload))
+            half = len(messages) // 2
+            self._write(writer, messages[:half])
+            self._write(writer, messages[half:])
+
+    def _flush_all(self) -> None:
+        for writer in list(self._outboxes):
+            self._flush(writer)
 
     async def start(self) -> None:
         self._queue = asyncio.Queue()
@@ -155,9 +188,10 @@ class AsyncioTransport:
         return error
 
     async def drain(self) -> None:
-        """Wait for queued local dispatches and outbound buffers."""
+        """Wait for queued local dispatches, flush, wait for outbound buffers."""
         if self._queue is not None:
             await self._queue.join()
+        self._flush_all()
         for writer in set(self._routes.values()):
             if not writer.is_closing():
                 await writer.drain()
@@ -177,6 +211,7 @@ class AsyncioTransport:
                 await self._pump
             except asyncio.CancelledError:
                 pass
+        self._flush_all()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

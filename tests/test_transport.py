@@ -7,10 +7,15 @@ node dialling — local hops short-circuit, a bad frame ends it loudly.
 """
 
 import asyncio
+import struct
 
 import pytest
 
-from repro.events.wire import Notify
+import repro.net.serialization as serialization_module
+import repro.net.transport as transport_module
+from repro.events.model import make_event
+from repro.events.sharding import Attach
+from repro.events.wire import Notify, NotifyBatch
 from repro.net.serialization import FrameDecoder, FrameError, Hello, encode_frame
 from repro.net.transport import AsyncioTransport, serve_worker
 from tests.test_wire_codec import EVENT, MALFORMED
@@ -84,6 +89,142 @@ def test_worker_is_the_same_node_dialling(tmp_path):
     hub, got = asyncio.run(main())
     assert got == [("echo", Notify(EVENT))]
     assert hub.frames_relayed == 0 and hub.frames_dropped == 0
+
+
+# ----------------------------------------------------------------------
+# Outboxes: one wire frame per peer per loop turn, never one the peer
+# must refuse, nothing left behind by stop().
+# ----------------------------------------------------------------------
+async def read_wire(reader, count):
+    """Raw bytes and decoded messages until ``count`` messages arrived."""
+    raw, frames, decoder = b"", [], FrameDecoder()
+    while len(frames) < count:
+        data = await reader.read(65536)
+        assert data, "connection closed early"
+        raw += data
+        frames.extend(decoder.feed(data))
+    return raw, frames
+
+
+def wire_frame_sizes(raw):
+    """Body size of each length-prefixed frame in ``raw``."""
+    sizes, at = [], 0
+    while at < len(raw):
+        (size,) = struct.unpack_from(">I", raw, at)
+        sizes.append(size)
+        at += 4 + size
+    assert at == len(raw)
+    return sizes
+
+
+async def hub_with_peer(path):
+    hub = AsyncioTransport(path)
+    await hub.start()
+    reader, writer = await asyncio.open_unix_connection(path)
+    writer.write(encode_frame("", "", Hello(("peer",))))
+    await hub.wait_until(lambda: hub.known("peer"))
+    return hub, reader, writer
+
+
+def numbered(count, **attrs):
+    return [Notify(make_event("rfid", seq=seq, **attrs)) for seq in range(count)]
+
+
+def test_sends_in_one_turn_arrive_as_one_frame_in_order(tmp_path):
+    messages = numbered(7)
+
+    async def main():
+        hub, reader, writer = await hub_with_peer(str(tmp_path / "hub.sock"))
+        for message in messages:
+            hub.send("hub", "peer", message)
+        await hub.drain()
+        raw, frames = await read_wire(reader, len(messages))
+        writer.close()
+        await hub.stop()
+        return raw, frames
+
+    raw, frames = asyncio.run(main())
+    assert len(wire_frame_sizes(raw)) == 1
+    assert frames == [("hub", "peer", message) for message in messages]
+
+
+def test_a_bundle_over_the_cap_is_split_and_a_lone_oversize_message_dropped(tmp_path, monkeypatch):
+    cap = 400  # bytes of body, on both ends of the connection
+    monkeypatch.setattr(transport_module, "MAX_FRAME_BYTES", cap)
+    monkeypatch.setattr(serialization_module, "MAX_FRAME_BYTES", cap)
+    small = numbered(9)
+    huge = Notify(make_event("rfid", blob="x" * cap))
+
+    async def main():
+        hub, reader, writer = await hub_with_peer(str(tmp_path / "hub.sock"))
+        for message in small[:4] + [huge] + small[4:]:
+            hub.send("hub", "peer", message)
+        await hub.drain()
+        raw, frames = await read_wire(reader, len(small))
+        writer.close()
+        await hub.stop()
+        return hub, raw, frames
+
+    hub, raw, frames = asyncio.run(main())
+    assert frames == [("hub", "peer", message) for message in small]
+    sizes = wire_frame_sizes(raw)
+    assert len(sizes) > 1 and max(sizes) <= cap
+    assert hub.frames_dropped == 1
+
+
+def test_stop_flushes_what_is_pending(tmp_path):
+    messages = numbered(3)
+
+    async def main():
+        hub, reader, writer = await hub_with_peer(str(tmp_path / "hub.sock"))
+        for message in messages:
+            hub.send("hub", "peer", message)
+        await hub.stop()  # no drain() first
+        raw = await reader.read()  # to EOF: the hub hung up after flushing
+        writer.close()
+        return list(FrameDecoder().feed(raw))
+
+    assert asyncio.run(main()) == [("hub", "peer", message) for message in messages]
+
+
+def test_a_workers_ack_follows_what_it_sent_before_it(tmp_path):
+    """The fleet's quiescence protocol: when the hub sees a worker's
+    acknowledgement, everything the worker sent before it has arrived —
+    whether it went out in the ack's own frame or in an earlier one."""
+    path = str(tmp_path / "hub.sock")
+    rounds = 6
+
+    def build(send):
+        def worker(src, payload):
+            command, n = payload.client.split("-")
+            for seq in range(int(n)):
+                send("w", "client", NotifyBatch((make_event("rfid", seq=seq),) * 2))
+            if command == "go+ack":
+                send("w", "ctl", Attach(payload.client))
+
+        return {"w": worker}
+
+    async def main():
+        worker = asyncio.create_task(serve_worker(path, build))
+        hub = AsyncioTransport(path)
+        await hub.start()
+        received, seen_at_ack = [], []
+        hub.register("client", lambda src, payload: received.extend(payload.notifications))
+        hub.register("ctl", lambda src, payload: seen_at_ack.append(len(received)))
+        await hub.wait_until(lambda: hub.known("w"))
+        sent = 0
+        for turn in range(rounds):
+            hub.send("ctl", "w", Attach(f"go-{turn + 1}"))  # output in an earlier frame ...
+            await hub.drain()
+            await asyncio.sleep(0.01)
+            hub.send("ctl", "w", Attach(f"go+ack-{turn}"))  # ... or in the ack's own
+            sent += 2 * (2 * turn + 1)
+            await hub.wait_until(lambda: len(seen_at_ack) > turn)
+            assert seen_at_ack[turn] == sent
+        await hub.stop()
+        await asyncio.wait_for(worker, 5.0)
+
+    asyncio.run(main())
 
 
 def test_a_bad_frame_ends_the_worker_with_that_error(tmp_path):

@@ -140,6 +140,40 @@ MALFORMED = {
     "wrong-arity": framed_json(["a", "b"]),
     "unknown-tag": framed_json(["a", "b", {"t": "bogus"}]),
     "unknown-op": framed_json(["a", "b", {"t": "unsub", "f": [["x", "~=", 1]]}]),
+    # The notification table and the references into it.
+    "table-not-a-list": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": {"x": 1}}]),
+    "row-not-a-mapping": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": [[["x", 1]]]}]),
+    "row-non-scalar-value": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": [{"x": [1]}]}]),
+    "row-null-value": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": [{"x": None}]}]),
+    "ref-negative": framed_json(["a", "b", {"t": "ntf", "n": -1, "N": [{"x": 1}, {"x": 2}]}]),
+    "ref-bool": framed_json(["a", "b", {"t": "ntfb", "ns": [True], "N": [{"x": 1}, {"x": 2}]}]),
+    "ref-float": framed_json(["a", "b", {"t": "ntf", "n": 0.0, "N": [{"x": 1}]}]),
+    "ref-string": framed_json(["a", "b", {"t": "ntf", "n": "0", "N": [{"x": 1}]}]),
+    "ref-past-the-table": framed_json(["a", "b", {"t": "ntf", "n": 2, "N": [{"x": 1}, {"x": 2}]}]),
+    "ref-without-a-table": framed_json(["a", "b", {"t": "ntf", "n": 0}]),
+    "ref-negative-in-deliver": framed_json(
+        ["a", "b", {"t": "dlv", "items": [["c", [0, -1]]], "N": [{"x": 1}, {"x": 2}]}]
+    ),
+    "ref-bool-in-publish-batch": framed_json(
+        ["a", "b", {"t": "pubb", "items": [[False, None]], "N": [{"x": 1}]}]
+    ),
+    # The Frames envelope.
+    "frames-in-frames": framed_json(
+        ["a", "b", {"t": "frames", "fs": [["a", "b", {"t": "frames", "fs": []}]]}]
+    ),
+    "frames-in-routed": framed_json(
+        ["a", "b", {"t": "routed", "src": "c", "m": {"t": "frames", "fs": []}}]
+    ),
+    "frames-entry-too-short": framed_json(
+        ["a", "b", {"t": "frames", "fs": [["a", {"t": "attach", "c": "x"}]]}]
+    ),
+    "frames-entry-too-long": framed_json(
+        ["a", "b", {"t": "frames", "fs": [["a", "b", "c", {"t": "attach", "c": "x"}]]}]
+    ),
+    "frames-not-a-list": framed_json(["a", "b", {"t": "frames", "fs": 3}]),
+    "frames-bad-second-entry": framed_json(
+        ["a", "b", {"t": "frames", "fs": [["a", "b", {"t": "attach", "c": "x"}], ["a", "b", {"t": "ntf", "n": 5}]]}]
+    ),
 }
 
 
@@ -155,6 +189,16 @@ def test_the_frame_after_a_malformed_body_still_decodes(frame):
     good = encode_frame("src", "dst", Notify(EVENT))
     with pytest.raises(FrameError):
         list(decoder.feed(good + frame + good))
+    assert list(decoder.feed(b"")) == [("src", "dst", Notify(EVENT))]
+
+
+def test_a_bad_entry_spoils_its_whole_envelope_and_nothing_after_it():
+    decoder = FrameDecoder()
+    good = encode_frame("src", "dst", Notify(EVENT))
+    seen = []
+    with pytest.raises(FrameError):
+        seen.extend(decoder.feed(MALFORMED["frames-bad-second-entry"] + good))
+    assert seen == []  # the valid first entry of the bad envelope is not handed out
     assert list(decoder.feed(b"")) == [("src", "dst", Notify(EVENT))]
 
 
