@@ -54,7 +54,8 @@ Dispatch runs through the predicate-indexed matching fabric
 (:mod:`repro.events.index`): publications are routed with a counting
 :class:`~repro.events.index.PredicateIndex` over the subscription store,
 and covering decisions (forwarding suppression, unmasking on removal)
-are :class:`~repro.events.index.CoveringPoset` lookups.  ``indexed=False``
+are :class:`~repro.events.index.CoveringPoset` lookups — both
+partitioned by subject (:mod:`repro.events.sharding`).  ``indexed=False``
 keeps the seed's linear scans as the reference the equivalence suites
 compare against, just as ``covering_enabled=False`` keeps the
 no-covering baseline (benchmark A1).
@@ -89,7 +90,7 @@ indexed+adv_pruned} and across join orders.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Callable
 
 from repro.events.covering import filter_covers
@@ -100,11 +101,10 @@ from repro.events.failure import (
     install_detectors,
 )
 from repro.events.filters import Filter, eq, exists, filters_intersect
-from repro.events.index import CoveringPoset
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification
 from repro.events.rendezvous import RendezvousEngine
-from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
+from repro.events.sharding import ShardedCoveringPoset, ShardedSubscriptionIndex, ShardPlan
 from repro.events.subscriptions import Subscription
 from repro.events.table import FilterTable
 from repro.events.wire import (
@@ -274,8 +274,8 @@ class BrokerNode(Host):
         # Per-source posets over the advertisements received *from* each
         # source — the "does this subtree produce anything the
         # subscription wants?" query behind advertisement pruning.
-        self._adv_in: dict[Address, CoveringPoset] = {}
-        self._adv_in_ids: dict[tuple[Address, Filter], int] = {}
+        self._adv_in: defaultdict[Address, ShardedCoveringPoset] = defaultdict(ShardedCoveringPoset)
+        self._adv_in_ids: dict[tuple[Address, Filter], tuple] = {}
         # Publication duplicate suppression: per-origin sequence floors
         # with TTL expiry.  First copy wins; every later copy arriving
         # over a redundant path is dropped here.
@@ -455,9 +455,7 @@ class BrokerNode(Host):
         if not self.adverts.store(source, filter, path, path_reset):
             return
         if self.indexed:
-            self._adv_in_ids[(source, filter)] = self._adv_in.setdefault(
-                source, CoveringPoset()
-            ).add(filter)
+            self._adv_in_ids[(source, filter)] = self._adv_in[source].add(filter)
         if self.rv is not None:
             self.rv.on_advertise(source, filter)
         if self.adv_pruned and source in self.neighbours:

@@ -201,7 +201,7 @@ def canonical_subject(value: Any) -> str:
     tag = family(value)
     if tag == "n":
         try:
-            return f"n:{float(value)!r}"
+            return f"n:{float(value) + 0.0!r}"  # + 0.0: -0.0 == 0, so one key
         except OverflowError:
             # An int beyond float range: no float can equal it, so its
             # exact repr is a stable (and collision-safe) fallback.
@@ -212,15 +212,18 @@ def canonical_subject(value: Any) -> str:
 
 
 class Filter:
-    """A conjunction of constraints; matches when every constraint does."""
+    """A conjunction of constraints; matches when every constraint does.
+    Identity is the constraint *set*, hashed once: filters key every book."""
 
-    __slots__ = ("constraints", "_checks")
+    __slots__ = ("constraints", "_checks", "_hash", "_sig")
 
     def __init__(self, *constraints: Constraint):
         if not constraints:
             raise ValueError("a filter needs at least one constraint")
         self.constraints = tuple(constraints)
         self._checks = tuple(c.check for c in constraints)
+        self._hash = hash(frozenset(self.constraints))
+        self._sig = None
 
     def matches(self, notification: Notification) -> bool:
         for check in self._checks:
@@ -232,10 +235,12 @@ class Filter:
         return {c.name for c in self.constraints}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Filter) and set(self.constraints) == set(other.constraints)
+        return self is other or (
+            isinstance(other, Filter) and self._hash == other._hash and set(self.constraints) == set(other.constraints)
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.constraints))
+        return self._hash
 
     def __repr__(self) -> str:
         return "Filter(" + " & ".join(repr(c) for c in self.constraints) + ")"
@@ -255,6 +260,13 @@ def pinned_subject(filter: Filter) -> str | None:
         if constraint.name == "type" and constraint.op is Op.EQ:
             return canonical_subject(constraint.value)
     return None
+
+
+def sole_subject(filter: Filter) -> str | None:
+    """The one subject ``filter``'s ``type`` equalities name, else ``None``: its part in a
+    subject-partitioned store.  Unlike :func:`pinned_subject`, ``[type = a] & [type = b]`` is None."""
+    subjects = {canonical_subject(c.value) for c in filter.constraints if c.name == "type" and c.op is Op.EQ}
+    return subjects.pop() if len(subjects) == 1 else None
 
 
 # ----------------------------------------------------------------------
@@ -443,15 +455,16 @@ def constraints_satisfiable(constraints: Iterable[Constraint]) -> bool:
 
 
 def _signature(filter: Filter) -> frozenset:
-    """A cache key for a filter's constraint set.
+    """A cache key for a filter's constraint set, built once per filter.
 
     Mirrors ``Constraint``'s family-tagged identity (``[x > True]`` and
     ``[x > 1]`` stay distinct) while keying the satisfiability caches on
-    plain value tuples rather than retaining ``Filter`` objects.
+    plain value tuples rather than retaining ``Filter`` objects; cached
+    on the filter, a probe re-hashes nothing (frozensets cache their hash).
     """
-    return frozenset(
-        (c.name, c.op, family(c.value), c.value) for c in filter.constraints
-    )
+    if filter._sig is None:
+        filter._sig = frozenset((c.name, c.op, family(c.value), c.value) for c in filter.constraints)
+    return filter._sig
 
 
 _SAT_CACHE: dict[frozenset, bool] = {}

@@ -51,6 +51,8 @@ engine pins events to patterns through its own per-type buckets):
   stored ``[x > 5]`` can only be covered by an ``x`` constraint from
   the numeric ``{>, >=, =}`` families, so probes lacking those never
   reach the exact :func:`~repro.events.covering.filter_covers` check.
+  Brokers hold it partitioned by subject, one part per subject
+  (:class:`~repro.events.sharding.ShardedCoveringPoset`), like the index.
 
 All structures are exact: they return precisely what the naive
 ``Filter.matches`` / ``filter_covers`` scans return — the randomized
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import count
 from typing import Any, Sequence
 
 try:  # vectorised batch counting; every path has a pure-python fallback
@@ -679,8 +682,12 @@ class CoveringPoset:
     :func:`filter_covers` verification; answers are identical to the
     pairwise scan's.  Duplicate filters may be stored (e.g. the same
     subscription from two sources); each entry keeps its own id and
-    optional payload.  Query results are in insertion (id) order.
+    optional payload.  Query results are in insertion (id) order; ids come
+    from one counter every poset shares, so the parts of a partitioned
+    poset merge their answers into that order too.
     """
+
+    _ids = count()
 
     def __init__(self) -> None:
         self._filters: dict[int, Filter] = {}
@@ -695,15 +702,13 @@ class CoveringPoset:
         # (48 000 band subscriptions are three shapes).
         self._pruning: dict[int, tuple[tuple, dict[str, int]]] = {}
         self._shapes: dict[tuple, tuple[tuple, dict[str, int]]] = {}
-        self._next_id = 0
         self.checks = 0  # exact filter_covers verifications performed
 
     def __len__(self) -> int:
         return len(self._filters)
 
     def add(self, filter: Filter, payload: Any = None) -> int:
-        pid = self._next_id
-        self._next_id += 1
+        pid = next(self._ids)
         names = filter.attribute_names()
         self._filters[pid] = filter
         self._payloads[pid] = payload

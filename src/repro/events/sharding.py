@@ -1,31 +1,27 @@
-"""Subject-partitioned subscription matching, in one process and across a fleet.
+"""Subject-partitioned matching and covering, in one process and across a fleet.
 
-The monolithic :class:`~repro.events.index.PredicateIndex` pays for the
-*whole* population on every event: range thresholds, EXISTS lists and NE
-pools are keyed only by attribute name, so an event carrying
-``strength`` sweeps every subscription constraining ``strength`` —
-regardless of the event's subject.  This module partitions the
-subscription space by the event subject (the ``type`` attribute, the
-same key rendezvous routing hashes) so an event sweeps its own subject's
-filters and not the city's.  Which subject a filter is about is decided
-in one place, :func:`~repro.events.filters.pinned_subject` (the canonical
-form rendezvous keys also hash, so ``2`` and ``2.0`` land together
-exactly as matching equality folds them): an ``EQ`` constraint on
-``type`` *pins* the filter; a filter with none, or with a non-``EQ``
-one, is a *wildcard* that any subject's events may match.
+A monolithic :class:`~repro.events.index.PredicateIndex` or
+:class:`~repro.events.index.CoveringPoset` pays for the *whole*
+population on every event or control operation: both are keyed by
+attribute name, and every filter constrains ``strength`` whatever its
+subject.  This module partitions them by subject (the ``type``
+attribute, the key rendezvous routing hashes) so an event or a probe
+pays for its own subject, not the city's.  An ``EQ`` on ``type`` *pins*
+a filter (canonical form: ``2`` and ``2.0`` land together, as matching
+equality folds them); a filter with none, a non-``EQ`` one, or — in one
+process, :func:`~repro.events.filters.sole_subject` — two that differ,
+is a *wildcard*.
 
-**In one process** — :class:`ShardedSubscriptionIndex`, the index every
-``BrokerNode`` builds for its subscription table — partitions compose
-*over* ``PredicateIndex`` and each event makes **two visits**: a pinned
-filter lives in its subject's private ``PredicateIndex`` (created on
-first use, dropped when its last filter leaves), every wildcard in
-**one** shared ``PredicateIndex``, and an event visits the shared index
-and its own subject's partition and unions the two.  A filter is stored
-once, so there is nothing to replicate and nothing to deduplicate.
-With no :class:`ShardPlan` the partition key is the canonical subject
-itself — the finest partition there is; with one (``BrokerNode(shards=
-n)``) subjects fold onto ``n`` hash-ring shards, which in one process
-only coarsens the partition.  The plan exists for the other layer:
+**In one process** — :class:`SubjectPartitioned`: one private part per
+subject (made on first use, dropped with its last filter), **one** shared
+part for wildcards, each filter stored once.  The part type is a class
+attribute: :class:`ShardedSubscriptionIndex` (every broker's subscription
+index) visits shared plus own per event; :class:`ShardedCoveringPoset`
+(every table, link and advertisement poset) sends a pinned probe to its
+own part plus shared, a wildcard probe to all.  With a :class:`ShardPlan`
+(``BrokerNode(shards=n)``) subjects fold onto ``n`` hash-ring shards,
+which in one process only coarsens the partition.  The plan exists for
+the other layer:
 
 **Across processes** — :class:`ShardRouter` + :class:`ShardEndpoint`,
 the message-passing fleet — a shard is another process and a second
@@ -48,6 +44,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
+from functools import partialmethod
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.events.wire import (
@@ -57,8 +55,8 @@ from repro.events.wire import (
     Subscribe,
     Unsubscribe,
 )
-from repro.events.filters import Filter, canonical_subject, pinned_subject
-from repro.events.index import PredicateIndex
+from repro.events.filters import Filter, canonical_subject, pinned_subject, sole_subject
+from repro.events.index import CoveringPoset, PredicateIndex
 from repro.events.model import Notification
 
 Address = Hashable
@@ -152,31 +150,72 @@ class ShardPlan:
 _SCALAR_BELOW = 128
 
 
-class ShardedSubscriptionIndex:
-    """Drop-in for :class:`PredicateIndex`, partitioned by pinned subject.
+class SubjectPartitioned:
+    """One private ``part_type`` per pinned subject, one shared for the rest.
 
-    Same surface — ``add(filter, payload) -> rid``, ``remove(rid)``,
-    ``match``, ``match_batch``, ``holders``, ``payload(rid)``,
-    ``filter_of(rid)`` — so ``FilterTable`` swaps it in unchanged.  A
-    filter that pins a subject lives in that partition's private
-    ``PredicateIndex`` (keyed by the canonical subject, or by
-    ``plan.owner`` of it when a plan folds subjects onto ``n`` shards),
-    created on first use and dropped with its last filter; every other
-    filter lives in :attr:`shared`.  An event visits the shared index and
-    its own subject's partition and unions the two — nothing is
-    replicated, nothing deduplicated.  A ``rid`` is ``(partition key,
-    fid)``, so the composite keeps no per-filter books of its own.
+    A filter lives in the part of its :func:`~repro.events.filters.sole_subject`
+    (keyed by ``plan.owner`` of it when a plan folds subjects onto ``n``
+    shards), created on first use and dropped with its last filter; every
+    other filter lives in :attr:`shared`.  A ``rid`` is ``(part key, id)``,
+    so the composite keeps no per-filter books of its own.
     """
+
+    part_type: type
 
     def __init__(self, plan: ShardPlan | None = None) -> None:
         self.plan = plan
-        self.shared = PredicateIndex()
-        self.partitions: dict[Hashable, PredicateIndex] = {}
+        self.shared = self.part_type()
+        self.partitions: dict[Hashable, Any] = {}
         self._size = 0
-        self._dropped_ops = 0  # walks done by partitions since dropped
 
     def __len__(self) -> int:
         return self._size
+
+    def _key(self, canon: str | None) -> Hashable:
+        if canon is None or self.plan is None:
+            return canon
+        return self.plan.owner(canon)
+
+    def _part(self, key: Hashable):
+        return self.shared if key is None else self.partitions[key]
+
+    def _retire(self, part) -> None:  # a private part's last filter just left
+        pass
+
+    def add(self, filter: Filter, payload: Any = None) -> tuple:
+        key = self._key(sole_subject(filter))
+        if key is None:
+            part = self.shared
+        else:
+            part = self.partitions.get(key)
+            if part is None:
+                part = self.partitions[key] = self.part_type()
+        self._size += 1
+        return key, part.add(filter, payload=payload)
+
+    def remove(self, rid: tuple) -> Any:
+        key, fid = rid
+        part = self._part(key)
+        payload = part.remove(fid)
+        self._size -= 1
+        if not part and key is not None:
+            self._retire(part)
+            del self.partitions[key]
+        return payload
+
+    def payload(self, rid: tuple) -> Any:
+        return self._part(rid[0]).payload(rid[1])
+
+    def filter_of(self, rid: tuple) -> Filter:
+        return self._part(rid[0]).filter_of(rid[1])
+
+
+class ShardedSubscriptionIndex(SubjectPartitioned):
+    """Drop-in for :class:`PredicateIndex`: an event visits the shared index
+    and its own subject's partition and unions the two."""
+
+    part_type = PredicateIndex
+    _dropped_ops = 0  # walks done by partitions since dropped
 
     @property
     def ops(self) -> int:
@@ -184,40 +223,8 @@ class ShardedSubscriptionIndex:
         live = sum(part.ops for part in self.partitions.values())
         return self.shared.ops + live + self._dropped_ops
 
-    def _key(self, canon: str | None) -> Hashable:
-        if canon is None or self.plan is None:
-            return canon
-        return self.plan.owner(canon)
-
-    def _index(self, key: Hashable) -> PredicateIndex:
-        return self.shared if key is None else self.partitions[key]
-
-    def add(self, filter: Filter, payload: Any = None) -> tuple:
-        key = self._key(pinned_subject(filter))
-        if key is None:
-            index = self.shared
-        else:
-            index = self.partitions.get(key)
-            if index is None:
-                index = self.partitions[key] = PredicateIndex()
-        self._size += 1
-        return key, index.add(filter, payload=payload)
-
-    def remove(self, rid: tuple) -> Any:
-        key, fid = rid
-        index = self._index(key)
-        payload = index.remove(fid)
-        self._size -= 1
-        if not index and key is not None:
-            self._dropped_ops += index.ops
-            del self.partitions[key]
-        return payload
-
-    def payload(self, rid: tuple) -> Any:
-        return self._index(rid[0]).payload(rid[1])
-
-    def filter_of(self, rid: tuple) -> Filter:
-        return self._index(rid[0]).filter_of(rid[1])
+    def _retire(self, part: PredicateIndex) -> None:
+        self._dropped_ops += part.ops
 
     def _sweep(self, notifications: Sequence[Notification], visit) -> list[set]:
         """Per notification, what ``visit(key, index, group)`` finds in the
@@ -257,6 +264,39 @@ class ShardedSubscriptionIndex:
 
     def holders(self, notifications: Sequence[Notification]) -> list[set]:
         return self._sweep(notifications, _holders)
+
+
+class ShardedCoveringPoset(SubjectPartitioned):
+    """Drop-in for :class:`CoveringPoset`.  Filters pinned to different
+    subjects neither cover nor intersect, so a pinned probe consults its own
+    part and the shared one; a wildcard probe consults every part (``[type >=
+    s] & [type <= s]`` is covered by ``[type = s]``).  Parts draw ids from one
+    counter, so merged answers sort into insertion (re-forward) order."""
+
+    part_type = CoveringPoset
+
+    def _parts(self, probe: Filter):
+        if self.shared:
+            yield None, self.shared
+        key = self._key(sole_subject(probe))
+        if key is None:
+            yield from self.partitions.items()
+        elif key in self.partitions:
+            yield key, self.partitions[key]
+
+    def _merged(self, query: str, probe: Filter) -> list[tuple]:
+        found = ((key, pid) for key, part in self._parts(probe) for pid in getattr(part, query)(probe))
+        return sorted(found, key=itemgetter(1))
+
+    def covers_any(self, filter: Filter) -> bool:
+        return any(part.covers_any(filter) for _, part in self._parts(filter))
+
+    def intersecting_any(self, filter: Filter) -> bool:
+        return any(part.intersecting_any(filter) for _, part in self._parts(filter))
+
+    covering = partialmethod(_merged, "covering")
+    covered_by = partialmethod(_merged, "covered_by")
+    intersecting = partialmethod(_merged, "intersecting")
 
 
 def _rids(key: Hashable, fids: set[int]) -> set[tuple]:

@@ -30,13 +30,15 @@ the indexed fabric against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import attrgetter
 from typing import Any, Callable, Collection, Hashable, Sequence
 
 from repro.events.covering import filter_covers
 from repro.events.filters import Filter
-from repro.events.index import CoveringPoset, PredicateIndex
+from repro.events.index import PredicateIndex
 from repro.events.model import Notification
+from repro.events.sharding import ShardedCoveringPoset
 from repro.net.network import Address
 
 Path = tuple[Address, ...]
@@ -96,8 +98,8 @@ class FilterTable:
         self.entry_ids: dict[tuple[Address, Filter], Hashable] = {}
         # Covering poset over the same store — drives the "what was the
         # removed filter masking?" query on removal.
-        self.poset = CoveringPoset()
-        self.poset_ids: dict[tuple[Address, Filter], int] = {}
+        self.poset = ShardedCoveringPoset()
+        self.poset_ids: dict[tuple[Address, Filter], Hashable] = {}
         self.sources: dict[Filter, set[Address]] = {}
         # Source path each stored filter arrived with (clients arrive
         # with the empty path) — re-forwarding a stored filter (link
@@ -108,8 +110,8 @@ class FilterTable:
         # posets over them — the "is this covered by an already-forwarded
         # one?" query.
         self.forwarded: dict[Address, list[Filter]] = {}
-        self.fwd_posets: dict[Address, CoveringPoset] = {}
-        self.fwd_ids: dict[Address, dict[Filter, int]] = {}
+        self.fwd_posets: defaultdict[Address, ShardedCoveringPoset] = defaultdict(ShardedCoveringPoset)
+        self.fwd_ids: dict[Address, dict[Filter, Hashable]] = {}
         # The path each filter was last pushed toward a neighbour with
         # (as a set) — when a narrower copy arrives, the delta is re-sent
         # so the neighbour can narrow its stored path too.
@@ -343,7 +345,7 @@ class FilterTable:
             return
         already = self.forwarded.setdefault(neighbour, [])
         if self.indexed:
-            poset = self.fwd_posets.setdefault(neighbour, CoveringPoset())
+            poset = self.fwd_posets[neighbour]
             ids = self.fwd_ids.setdefault(neighbour, {})
             if filter in ids:
                 self.narrow(neighbour, filter, path)

@@ -1,14 +1,19 @@
 """Tests for the notification model and the subscription language."""
 
+import copy
+import random
+
 import pytest
 
 from repro.events.filters import (
     Constraint,
     Filter,
     Op,
+    _signature,
     contains,
     eq,
     exists,
+    family,
     ge,
     gt,
     le,
@@ -19,6 +24,7 @@ from repro.events.filters import (
     type_is,
 )
 from repro.events.model import Notification, make_event
+from tests.test_index_equivalence import random_filter
 
 
 class TestNotification:
@@ -150,3 +156,41 @@ class TestFilter:
     def test_attribute_names(self):
         f = Filter(eq("a", 1), gt("b", 2))
         assert f.attribute_names() == {"a", "b"}
+
+
+class TestFilterIdentity:
+    """A filter's hash is computed once and its signature built once;
+    identity must still be exactly the constraint set's."""
+
+    def test_equality_and_hash_are_the_constraint_set(self):
+        a, b = eq("x", 1), gt("y", 2.5)
+        assert Filter(a, b) == Filter(b, a) and hash(Filter(a, b)) == hash(Filter(b, a))
+        assert Filter(a, a) == Filter(a) and hash(Filter(a, a)) == hash(Filter(a))
+        assert Filter(eq("x", 1)) == Filter(eq("x", 1.0))
+        assert hash(Filter(eq("x", 1))) == hash(Filter(eq("x", 1.0)))
+        assert Filter(eq("x", True)) != Filter(eq("x", 1))
+        assert Filter(a) != Filter(a, b) and Filter(a) != a
+
+    def test_agrees_with_constraint_set_identity(self):
+        rng = random.Random(27)
+        filters = [random_filter(rng) for _ in range(300)]
+        filters += [Filter(*reversed(f.constraints)) for f in filters[:100]]
+        for f in filters:
+            for g in rng.sample(filters, 30) + [f]:
+                same = frozenset(f.constraints) == frozenset(g.constraints)
+                assert (f == g) == same
+                if same:
+                    assert hash(f) == hash(g)
+
+    def test_copy_keeps_equality(self):
+        f = Filter(type_is("weather"), gt("temp", 18.0))
+        for clone in (copy.copy(f), copy.deepcopy(f)):
+            assert clone == f and hash(clone) == hash(f)
+            assert clone.matches(make_event("weather", temp=20.0))
+
+    def test_signature_is_built_once_and_equals_the_per_call_set(self):
+        f = Filter(eq("x", True), gt("x", 1), prefix("s", "a"), exists("e"))
+        sig = _signature(f)
+        assert _signature(f) is sig
+        assert sig == frozenset((c.name, c.op, family(c.value), c.value) for c in f.constraints)
+        assert _signature(Filter(*reversed(f.constraints))) == sig

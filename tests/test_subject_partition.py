@@ -1,4 +1,4 @@
-"""The broker's subscription index, partitioned by pinned subject.
+"""The broker's subscription index and posets, partitioned by pinned subject.
 
 Plan-less ``ShardedSubscriptionIndex()`` — the index ``BrokerNode`` builds
 for its subscription table — keeps one private ``PredicateIndex`` per
@@ -6,15 +6,20 @@ pinned subject and one shared index for everything else.  It must answer
 exactly what a bare ``PredicateIndex`` answers (which subject an awkward
 filter or event belongs to is where it could go wrong), keep no partition
 whose last filter has left, and do a small fraction of the monolith's
-candidate work on a city-shaped population.
+candidate work on a city-shaped population.  The covering posets are
+partitioned the same way (``ShardedCoveringPoset``; its answers are
+property-tested in ``tests/test_poset_properties.py``): here, a churning
+mesh makes no exact check between filters of two different subjects.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from repro.events.broker import BrokerNode, SienaClient
-from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, lt
+from repro.events import index as index_module
+from repro.events.broker import BrokerNode, SienaClient, build_broker_mesh
+from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, lt, pinned_subject
 from repro.events.index import PredicateIndex
 from repro.events.model import Notification, make_event
 from repro.events.sharding import ShardedSubscriptionIndex
@@ -22,9 +27,9 @@ from repro.net import FixedLatency, Network, Position
 from repro.simulation import Simulator
 from tests.test_index_equivalence import random_constraint, random_filter, random_value
 
-# Subject values that equality folds (2 == 2.0), keeps apart (True != 1)
+# Subject values that equality folds (2 == 2.0, 0 == -0.0), keeps apart (True != 1)
 # or that look alike only as text; "nobody" is never pinned by a filter.
-SUBJECTS = [2, 2.0, True, 1, 1.0, False, 0, "2", "a", "ab", ""]
+SUBJECTS = [2, 2.0, True, 1, 1.0, False, 0, -0.0, "2", "a", "ab", ""]
 
 
 def awkward_filter(rng: random.Random) -> Filter:
@@ -165,3 +170,52 @@ def test_city_shaped_population_sweeps_a_twentieth_of_the_monolith():
     events = [make_event(subjects[i % 144], strength=rng.uniform(0.0, 12.0)) for i in range(288)]
     assert default.holders(events) == mono.holders(events)
     assert default.ops * 20 <= mono.ops
+
+
+def test_mesh_churn_makes_no_cross_subject_exact_check(monkeypatch):
+    # A count, not a speed: filters pinned to different subjects neither
+    # cover nor intersect, so no exact check may compare two of them.
+    checks = Counter()
+    for name in ("filter_covers", "filters_intersect"):
+        def counted(a, b, exact=getattr(index_module, name), name=name):
+            subjects = {pinned_subject(a), pinned_subject(b)}
+            checks[name, "wildcard" if None in subjects else len(subjects)] += 1
+            return exact(a, b)
+
+        monkeypatch.setattr(index_module, name, counted)
+    rng = random.Random(27)
+    sim = Simulator(seed=27)
+    network = Network(sim, FixedLatency(0.01))
+    brokers = build_broker_mesh(sim, network, count=5, extra_links=2, adv_pruned=True)
+    subjects = [f"kind-{i % 3}@street-{i // 3}" for i in range(12)]
+    gateways = [SienaClient(sim, network, Position(0, g), brokers[g % 5]) for g in range(4)]
+    users = [SienaClient(sim, network, Position(1, u), brokers[u % 5]) for u in range(20)]
+    for g, gateway in enumerate(gateways):
+        for subject in subjects[g::4]:
+            gateway.advertise(Filter(eq("type", subject)))
+
+    def band(slot: int) -> Filter:
+        if slot % 25 == 0:
+            return Filter(gt("strength", rng.uniform(11.0, 12.0)))
+        low = rng.uniform(0.0, 10.0)
+        return Filter(eq("type", subjects[slot % 12]), gt("strength", low), lt("strength", low + 1.0))
+
+    live = [(rng.randrange(20), band(slot)) for slot in range(150)]
+    for user, f in live:
+        users[user].subscribe(f)
+    sim.run_for(2.0)
+    for round_no in range(4):
+        for slot in rng.sample([s for s in range(150) if s % 25], 10):
+            user, f = live[slot]
+            users[user].unsubscribe(f)
+            live[slot] = (rng.randrange(20), band(slot))
+            users[live[slot][0]].subscribe(live[slot][1])
+        flapped = Filter(eq("type", subjects[round_no % 3 * 4]))
+        gateways[0].unadvertise(flapped)
+        sim.run_for(2.0)
+        gateways[0].advertise(flapped)
+        sim.run_for(2.0)
+    for broker in brokers:
+        broker.check_invariants()
+    assert checks["filter_covers", 2] == checks["filters_intersect", 2] == 0
+    assert checks["filter_covers", 1] > 100 and checks["filters_intersect", 1] > 100
