@@ -53,6 +53,12 @@ class GridIndex:
         lat_cells = int(math.ceil(lat_span / self.cell_deg))
         lon_cells = int(math.ceil(lon_span / self.cell_deg))
         centre_lat, centre_lon = self._cell_of(pos)
+        if len(self._cells) < (2 * lat_cells + 1) * (2 * lon_cells + 1):
+            # Fewer occupied cells than cells in reach: visit those, in the walk's order.
+            for lat, lon in sorted(self._cells):
+                if abs(lat - centre_lat) <= lat_cells and abs(lon - centre_lon) <= lon_cells:
+                    yield self._cells[lat, lon]
+            return
         for dlat in range(-lat_cells, lat_cells + 1):
             for dlon in range(-lon_cells, lon_cells + 1):
                 cell = self._cells.get((centre_lat + dlat, centre_lon + dlon))
@@ -60,7 +66,11 @@ class GridIndex:
                     yield cell
 
     def within(self, pos: Position, radius_km: float) -> list[tuple[float, Any]]:
-        """All items within ``radius_km``, as (distance_km, item), nearest first."""
+        """All items within ``radius_km``, as (distance_km, item), nearest first.
+
+        Cells in reach are visited in (lat, lon) order, walking the occupied
+        ones when they are fewer; equal distances keep that order.
+        """
         hits: list[tuple[float, Any]] = []
         for cell in self._cells_within(pos, radius_km):
             for stored_pos, item in cell:

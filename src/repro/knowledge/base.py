@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.knowledge.facts import AttributeValue, Fact
+
+# Timed answers memoised at once; past it the memo starts over, so a
+# stream of one-off questions cannot grow it without bound.
+MEMO_LIMIT = 1 << 14
 
 
 class KnowledgeBase:
@@ -15,8 +21,14 @@ class KnowledgeBase:
     Subjects are indexed under ``str(subject)``: sensor feeds legitimately
     produce facts keyed by numeric ids, and ``kb.query(subject=7)`` and
     ``kb.query(subject="7")`` must find them either way.  ``version``
-    counts successful mutations, so callers (the matching engine's link
-    memo) can stamp cached query results.
+    counts successful mutations.
+
+    Timed answers are memoised under the normalised query, with the
+    half-open interval ``[lo, hi)`` in which they stay exact: a valid
+    candidate fact bounds it by ``valid_from`` and the instant just past
+    ``valid_to`` (``valid_at`` is closed), one not valid yet by its
+    ``valid_from``, an expired one by the instant just past its
+    ``valid_to``.  Hits count in ``memo_hits``; ``add``/``remove`` clear it.
 
     Objects are indexed twice, serving the two lookup disciplines:
 
@@ -38,6 +50,9 @@ class KnowledgeBase:
         self._by_object: dict[AttributeValue, set[Fact]] = {}
         self._by_object_str: dict[str, set[Fact]] = {}
         self._version = 0
+        # Normalised query → (lo, hi, answer); see the class docstring.
+        self._memo: dict[tuple, tuple[float, float, tuple[Fact, ...]]] = {}
+        self.memo_hits = 0
 
     @property
     def version(self) -> int:
@@ -53,6 +68,7 @@ class KnowledgeBase:
         self._by_object.setdefault(fact.object, set()).add(fact)
         self._by_object_str.setdefault(str(fact.object), set()).add(fact)
         self._version += 1
+        self._memo.clear()
         return True
 
     def remove(self, fact: Fact) -> bool:
@@ -64,6 +80,7 @@ class KnowledgeBase:
         self._discard_index(self._by_object, fact.object, fact)
         self._discard_index(self._by_object_str, str(fact.object), fact)
         self._version += 1
+        self._memo.clear()
         return True
 
     @staticmethod
@@ -98,6 +115,9 @@ class KnowledgeBase:
         at_time: float | None = None,
     ) -> list[Fact]:
         """All facts matching the non-None fields, valid at ``at_time``."""
+        key = (None if subject is None else str(subject), predicate, object)
+        if (cached := self._recall(key, at_time)) is not None:
+            return cached
         pools = []
         if subject is not None:
             pools.append(self._by_subject.get(str(subject), set()))
@@ -106,21 +126,16 @@ class KnowledgeBase:
         if object is not None:
             # The raw-value bucket is the ``==`` equivalence class the
             # residual filter below re-checks (the filter only still
-            # matters for never-self-equal values like NaN).
+            # matters for never-self-equal values like NaN).  ``1``,
+            # ``1.0`` and ``True`` share that class, and so a memo key.
             pools.append(self._by_object.get(object, set()))
         if pools:
             candidates = set.intersection(*pools) if len(pools) > 1 else pools[0]
         else:
             candidates = self._facts
-        out = []
-        for fact in candidates:
-            if object is not None and fact.object != object:
-                continue
-            if at_time is not None and not fact.valid_at(at_time):
-                continue
-            out.append(fact)
-        out.sort(key=lambda f: (str(f.subject), f.predicate, str(f.object)))
-        return out
+        if object is not None:
+            candidates = [fact for fact in candidates if fact.object == object]
+        return self._remember(key, candidates, at_time)
 
     def query_object_str(
         self,
@@ -136,15 +151,38 @@ class KnowledgeBase:
         int ``7`` — previously this required scanning the whole
         predicate bucket.
         """
+        key = (str(object), predicate)  # a pair: never equal to query()'s triples
+        if (cached := self._recall(key, at_time)) is not None:
+            return cached
         candidates = self._by_object_str.get(str(object), set())
         if predicate is not None:
             candidates = candidates & self._by_predicate.get(predicate, set())
-        out = [
-            fact
-            for fact in candidates
-            if at_time is None or fact.valid_at(at_time)
-        ]
+        return self._remember(key, candidates, at_time)
+
+    def _recall(self, key: tuple, at_time: float | None) -> list[Fact] | None:
+        entry = self._memo.get(key) if at_time is not None else None
+        if entry is None or not entry[0] <= at_time < entry[1]:
+            return None
+        self.memo_hits += 1
+        return list(entry[2])
+
+    def _remember(self, key: tuple, candidates, at_time: float | None) -> list[Fact]:
+        """The candidates valid at ``at_time``, sorted; memoised when timed."""
+        lo, hi, out = -math.inf, math.inf, []
+        for fact in candidates:
+            if at_time is None or fact.valid_at(at_time):
+                out.append(fact)
+                lo = max(lo, fact.valid_from)
+                hi = min(hi, math.nextafter(fact.valid_to, math.inf))
+            elif at_time < fact.valid_from:
+                hi = min(hi, fact.valid_from)
+            else:
+                lo = max(lo, math.nextafter(fact.valid_to, math.inf))
         out.sort(key=lambda f: (str(f.subject), f.predicate, str(f.object)))
+        if at_time is not None:
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = (lo, hi, tuple(out))
         return out
 
     def value(

@@ -33,7 +33,7 @@ class EngineStats:
     # the subject index is meant to cut (full-window heads scanned when
     # naive, keyed hits when indexed).
     window_scanned: int = 0
-    # KB link-query traffic: actual kb.query calls vs memo hits.
+    # KB link lookups: those the KB computed vs those its memo answered.
     kb_link_queries: int = 0
     kb_link_memo_hits: int = 0
 
@@ -73,11 +73,6 @@ class MatchingEngine:
         self._buffers: dict[str, dict[str, TimeWindowBuffer]] = {}
         self._patterns_by_type: dict[str, list[tuple[str, object]]] = {}
         self._last_fired: dict[tuple, float] = {}
-        # (kb.version, now)-stamped memo of link queries, so the repeated
-        # enumeration levels of one correlation pass (and same-instant
-        # events) don't re-ask the knowledge base per candidate.
-        self._kb_memo: dict[tuple, frozenset] = {}
-        self._kb_memo_stamp: tuple | None = None
         self.stats = EngineStats()
         for rule in rules:
             self.add_rule(rule)
@@ -150,9 +145,29 @@ class MatchingEngine:
             for alias in hit_aliases:
                 buffers[alias].add(now, event)
             for alias in hit_aliases:
-                out.extend(self._join(rule, alias, event, now))
+                if not self._vetoed(rule, alias, event, now):
+                    out.extend(self._join(rule, alias, event, now))
         self.stats.synthesized += len(out)
         return out
+
+    def _vetoed(self, rule: Rule, alias: str, pinned: Notification, now: float) -> bool:
+        """Whether a leading fact pattern fails every join pinned at ``pinned``.
+
+        A required pattern over a pinned-event attribute with a literal (or
+        no) object reads nothing the enumeration binds: it answers alike for
+        every join, so one in the leading run with no valid fact fails them
+        all, each before any guard runs.
+        """
+        for pattern in rule.facts:
+            subject, expected = pattern.subject, pattern.object
+            if not (pattern.required and isinstance(subject, Ref) and subject.alias == alias
+                    and not isinstance(expected, Ref) and not callable(expected)):
+                return False
+            facts = self._fact_matches(pattern, {alias: pinned}, now)
+            if not facts:
+                # None: an operand will not resolve, a guard error each join counts.
+                return facts is not None
+        return False
 
     def ingest_batch(self, events: list) -> list[Notification]:
         """Process a burst of events; returns all synthesised events.
@@ -299,36 +314,22 @@ class MatchingEngine:
         direction rides the KB's object-keyed index
         (``query_object_str``) — symmetric with the forward direction's
         subject bucket instead of scanning the whole predicate bucket.
-        Results are memoized under a (kb.version, now) stamp: facts
-        carry validity intervals, so a cached answer is only exact while
-        both the KB contents and the query instant are unchanged.
+        The KB memoises each answer over the interval in which it stays
+        exact; the stats count the lookups it computed and those its memo
+        answered.
         """
-        stamp = (self.kb.version, now)
-        if stamp != self._kb_memo_stamp:
-            self._kb_memo.clear()
-            self._kb_memo_stamp = stamp
-        key = (direction, anchor, predicate)
-        cached = self._kb_memo.get(key)
-        if cached is not None:
-            self.stats.kb_link_memo_hits += 1
-            return cached
-        self.stats.kb_link_queries += 1
+        hits = self.kb.memo_hits
         if direction == "fwd":
-            cached = frozenset(
-                str(f.object)
-                for f in self.kb.query(
-                    subject=anchor, predicate=predicate, at_time=now
-                )
-            )
+            facts = self.kb.query(subject=anchor, predicate=predicate, at_time=now)
+            linked = frozenset(str(f.object) for f in facts)
         else:
-            cached = frozenset(
-                str(f.subject)
-                for f in self.kb.query_object_str(
-                    anchor, predicate=predicate, at_time=now
-                )
-            )
-        self._kb_memo[key] = cached
-        return cached
+            facts = self.kb.query_object_str(anchor, predicate=predicate, at_time=now)
+            linked = frozenset(str(f.subject) for f in facts)
+        if self.kb.memo_hits != hits:
+            self.stats.kb_link_memo_hits += 1
+        else:
+            self.stats.kb_link_queries += 1
+        return linked
 
     def _evaluate(
         self, rule: Rule, bindings: Bindings, now: float
@@ -361,30 +362,10 @@ class MatchingEngine:
 
     def _resolve_facts(self, rule: Rule, bindings: Bindings, now: float) -> bool:
         for pattern in rule.facts:
-            try:
-                subject = resolve_operand(pattern.subject, bindings)
-                expected = (
-                    resolve_operand(pattern.object, bindings)
-                    if pattern.object is not None
-                    else None
-                )
-            except Exception:
+            facts = self._fact_matches(pattern, bindings, now)
+            if facts is None:
                 self.stats.guard_errors += 1
                 return False
-            facts = self.kb.query(
-                subject=str(subject), predicate=pattern.predicate, at_time=now
-            )
-            if expected is not None:
-                if isinstance(pattern.object, Ref) and pattern.object.attr == "subject":
-                    # Subject references are identity-like and str-normalised
-                    # everywhere else in the engine (the allowed sets, the
-                    # correlation keys), so resolution must match the same
-                    # way or int-subject facts admitted by the KB-guided
-                    # enumeration would be silently rejected here.
-                    expected_key = str(expected)
-                    facts = [f for f in facts if str(f.object) == expected_key]
-                else:
-                    facts = [f for f in facts if f.object == expected]
             if facts:
                 bindings[pattern.alias] = facts[0].object
             elif pattern.required:
@@ -392,3 +373,25 @@ class MatchingEngine:
             else:
                 bindings[pattern.alias] = pattern.default
         return True
+
+    def _fact_matches(self, pattern, bindings: Bindings, now: float) -> list | None:
+        """Facts satisfying ``pattern`` under ``bindings`` at ``now``; None
+        when an operand does not resolve against the bindings."""
+        try:
+            subject = resolve_operand(pattern.subject, bindings)
+            expected = resolve_operand(pattern.object, bindings) if pattern.object is not None else None
+        except Exception:
+            return None
+        facts = self.kb.query(subject=str(subject), predicate=pattern.predicate, at_time=now)
+        if expected is not None:
+            if isinstance(pattern.object, Ref) and pattern.object.attr == "subject":
+                # Subject references are identity-like and str-normalised
+                # everywhere else in the engine (the allowed sets, the
+                # correlation keys), so resolution must match the same
+                # way or int-subject facts admitted by the KB-guided
+                # enumeration would be silently rejected here.
+                expected_key = str(expected)
+                facts = [f for f in facts if str(f.object) == expected_key]
+            else:
+                facts = [f for f in facts if f.object == expected]
+        return facts

@@ -59,7 +59,9 @@ class TimeWindowBuffer:
 
     @staticmethod
     def _entity_key(event: Notification):
-        return event.get("subject") or event.get("area") or id(event)
+        # ``is not None``, not truthiness: sensor id 0 is an entity too.
+        subject, area = event.get("subject"), event.get("area")
+        return subject if subject is not None else area if area is not None else id(event)
 
     @staticmethod
     def _subject_key(event: Notification) -> str | None:

@@ -1,5 +1,6 @@
 """Tests for the GIS substrate: index, places, logical locations, travel."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gis import GridIndex, OpeningHours, Place, StreetMap, travel_time_s
 from repro.net.geo import Position, haversine_km
+from repro.sensors.city import make_synthetic_city
 
 
 class TestGridIndex:
@@ -72,6 +74,121 @@ class TestGridIndex:
         actual = [d for d, _ in index.within(origin, radius)]
         assert len(actual) == len(expected)
         assert actual == pytest.approx(expected)
+
+
+def grid_reach(index, pos, radius_km):
+    """The cells a plain grid walk visits around ``pos``, in its order."""
+    lat_span = radius_km / 111.32
+    lon_span = radius_km / (111.32 * max(math.cos(math.radians(pos.lat)), 0.01))
+    lat_cells = int(math.ceil(lat_span / index.cell_deg))
+    lon_cells = int(math.ceil(lon_span / index.cell_deg))
+    centre_lat, centre_lon = index._cell_of(pos)
+    return [
+        (centre_lat + dlat, centre_lon + dlon)
+        for dlat in range(-lat_cells, lat_cells + 1)
+        for dlon in range(-lon_cells, lon_cells + 1)
+    ]
+
+
+def walked_within(index, pos, radius_km):
+    """``GridIndex.within`` by the plain grid walk: the reference."""
+    hits = []
+    for key in grid_reach(index, pos, radius_km):
+        for stored_pos, item in index._cells.get(key, ()):
+            distance = haversine_km(pos, stored_pos)
+            if distance <= radius_km:
+                hits.append((distance, item))
+    hits.sort(key=lambda pair: pair[0])
+    return hits
+
+
+def walked_nearest(index, pos, max_radius_km):
+    radius = index.cell_deg * 111.32
+    while radius <= max_radius_km:
+        hits = walked_within(index, pos, radius)
+        if hits:
+            return hits[0]
+        radius *= 2
+    hits = walked_within(index, pos, max_radius_km)
+    return hits[0] if hits else None
+
+
+class TestOccupiedCellWalk:
+    """``within`` walks the occupied cells when there are fewer of those
+    than cells in reach; hits and their tie order must not change."""
+
+    RADII = [0.0, 0.05, 0.3, 1.0, 4.0, 40.0]  # the last reaches past every point
+    ORIGIN = Position(56.34, -2.79)
+
+    def populated(self, rng, points, spread_km, cell_deg):
+        index = GridIndex(cell_deg=cell_deg)
+        positions = []
+        for n in range(points):
+            if positions and rng.random() < 0.2:
+                pos = rng.choice(positions)  # an identical position: a tie
+            else:
+                pos = self.ORIGIN.offset_km(
+                    rng.uniform(-spread_km, spread_km), rng.uniform(-spread_km, spread_km)
+                )
+            positions.append(pos)
+            index.insert(pos, f"item-{n}")
+        return index, positions
+
+    @pytest.mark.parametrize(
+        "points,spread_km,cell_deg", [(12, 15.0, 0.01), (600, 2.0, 0.005), (200, 0.5, 0.01)]
+    )
+    def test_within_equals_the_grid_walk(self, points, spread_km, cell_deg):
+        rng = random.Random(points)
+        index, positions = self.populated(rng, points, spread_km, cell_deg)
+        branches = set()
+        probes = [self.ORIGIN, *rng.sample(positions, 5)]
+        for pos in probes:
+            for radius in self.RADII:
+                branches.add(len(index._cells) < len(grid_reach(index, pos, radius)))
+                assert index.within(pos, radius) == walked_within(index, pos, radius)
+            assert index.nearest(pos, 20.0) == walked_nearest(index, pos, 20.0)
+        assert branches == {True, False}  # both walks ran
+
+    @given(
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=25),
+        st.sampled_from([0.0, 0.2, 1.0, 3.0, 50.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_within_equals_the_grid_walk_on_random_points(self, offsets, radius):
+        index = GridIndex(cell_deg=0.01)
+        for n, (north, east) in enumerate(offsets + offsets[:3]):  # repeats tie
+            index.insert(self.ORIGIN.offset_km(north, east), n)
+        assert index.within(self.ORIGIN, radius) == walked_within(index, self.ORIGIN, radius)
+
+    def test_equal_distances_in_different_cells_keep_the_walk_order(self):
+        index = GridIndex(cell_deg=0.01)
+        lat, lon = self.ORIGIN.lat, self.ORIGIN.lon
+        # Mirrored in longitude: exactly the same distance, cells apart,
+        # inserted east first so insertion order is not the walk's order.
+        for n, step in enumerate((0.05, 0.03, 0.01)):
+            index.insert(Position(lat, lon + step), f"east-{n}")
+            index.insert(Position(lat, lon - step), f"west-{n}")
+        for radius in (1.0, 5.0):
+            hits = index.within(self.ORIGIN, radius)
+            assert hits == walked_within(index, self.ORIGIN, radius)
+            assert len({d for d, _ in hits}) < len(hits)  # the ties are real
+            assert [item for _, item in hits][:2] == ["west-2", "east-2"]
+
+    def test_city_nearest_place_of_a_kind(self):
+        city = make_synthetic_city("town", random.Random(5), centre=self.ORIGIN, places=40)
+        rng = random.Random(6)
+        for _ in range(25):
+            pos = city.random_position(rng)
+            for kind in ("ice-cream-shop", "cafe", "cinema", None):
+                expected = next(
+                    (
+                        (distance, place)
+                        for distance, place in walked_within(city.place_index, pos, 10.0)
+                        if kind is None or place.kind == kind
+                    ),
+                    None,
+                )
+                assert city.nearest_place(pos, kind=kind) == expected
 
 
 class TestOpeningHours:

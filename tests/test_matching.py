@@ -58,6 +58,27 @@ class TestTimeWindowBuffer:
         with pytest.raises(ValueError):
             TimeWindowBuffer(0.0)
 
+    @pytest.mark.parametrize("falsy", [0, "", False, 0.0])
+    def test_falsy_subject_is_one_entity(self, falsy):
+        """A subject of 0 (a numeric sensor id) or "" is an entity like any
+        other: its fixes share one head, not one head per event."""
+        buffer = TimeWindowBuffer(window_s=100.0)
+        for t in (1.0, 2.0, 3.0):
+            buffer.add(t, make_event("fix", n=int(t), subject=falsy))
+        buffer.add(4.0, make_event("fix", n=4, subject=7))
+        assert [(e["subject"], e["n"]) for e in buffer.recent_distinct(5.0)] == [
+            (7, 4),
+            (falsy, 3),
+        ]
+        heads = buffer.heads_for_subjects(5.0, {str(falsy)})
+        assert [e["n"] for e in heads] == [3]
+
+    def test_falsy_area_is_one_entity(self):
+        buffer = TimeWindowBuffer(window_s=100.0)
+        for t in (1.0, 2.0):
+            buffer.add(t, make_event("weather", n=int(t), area=0))
+        assert [e["n"] for e in buffer.recent_distinct(5.0)] == [2]
+
 
 class TestEventPattern:
     def test_type_and_constraints(self):
