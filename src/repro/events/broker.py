@@ -56,9 +56,9 @@ Dispatch runs through the predicate-indexed matching fabric
 and covering decisions (forwarding suppression, unmasking on removal)
 are :class:`~repro.events.index.CoveringPoset` lookups — both
 partitioned by subject (:mod:`repro.events.sharding`).  ``indexed=False``
-keeps the seed's linear scans as the reference the equivalence suites
-compare against, just as ``covering_enabled=False`` keeps the
-no-covering baseline (benchmark A1).
+scans instead (:class:`~repro.events.index.ScanStore`), the reference the
+equivalence suites compare against, just as ``covering_enabled=False``
+keeps the no-covering baseline (benchmark A1).
 
 Two routing behaviours complete Siena's advertisement/subscription
 interaction:
@@ -93,7 +93,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Callable
 
-from repro.events.covering import filter_covers
 from repro.events.failure import (
     Heartbeat,
     OriginFloorCache,
@@ -101,6 +100,7 @@ from repro.events.failure import (
     install_detectors,
 )
 from repro.events.filters import Filter, eq, exists, filters_intersect
+from repro.events.index import ScanStore
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification
 from repro.events.rendezvous import RendezvousEngine
@@ -145,9 +145,9 @@ class BrokerNode(Host):
       optimisation on forwarded control state; ``False`` (exact-duplicate
       suppression only) is the ablation measured in benchmark A1.
     ``indexed`` (default ``True``) — the counting
-      :class:`~repro.events.index.PredicateIndex` matching fabric;
-      ``False`` restores the seed's linear scans, the "naive" reference
-      of the equivalence suites.
+      :class:`~repro.events.index.PredicateIndex` and covering posets;
+      ``False`` puts a :class:`~repro.events.index.ScanStore` in each
+      place, the "naive" reference of the equivalence suites.
     ``adv_pruned`` (default ``False``) — advertisement-pruned
       subscription forwarding, benchmark E5's ablation: subscriptions
       travel only toward advertising subtrees.  Deliveries stay
@@ -210,7 +210,6 @@ class BrokerNode(Host):
         if shards > 1 and not indexed:
             raise ValueError("sharded matching requires indexed=True")
         self.covering_enabled = covering_enabled
-        self.indexed = indexed
         self.adv_pruned = adv_pruned
         # Routing mode: "flood" is Siena's subscription flooding (with
         # or without adv_pruned); "dht" replaces the control-state flood
@@ -245,10 +244,12 @@ class BrokerNode(Host):
         # shard of a plan when shards > 1; deliveries are identical.
         self.shards = shards
         links = self.neighbours if routing == "flood" else frozenset()
+        plan = ShardPlan(shards) if shards > 1 else None
+        poset_type = ShardedCoveringPoset if indexed else ScanStore
         self.subs = FilterTable(
             self.addr, links, self._send_control, Subscribe, Unsubscribe,
             indexed=indexed, covering_enabled=covering_enabled,
-            index=ShardedSubscriptionIndex(ShardPlan(shards) if shards > 1 else None),
+            index=ShardedSubscriptionIndex(plan) if indexed else ScanStore(),
             record=Subscription.fresh,
             blocked=self._sub_blocked if adv_pruned else None,
         )
@@ -274,7 +275,7 @@ class BrokerNode(Host):
         # Per-source posets over the advertisements received *from* each
         # source — the "does this subtree produce anything the
         # subscription wants?" query behind advertisement pruning.
-        self._adv_in: defaultdict[Address, ShardedCoveringPoset] = defaultdict(ShardedCoveringPoset)
+        self._adv_in: defaultdict[Address, ShardedCoveringPoset] = defaultdict(poset_type)
         self._adv_in_ids: dict[tuple[Address, Filter], tuple] = {}
         # Publication duplicate suppression: per-origin sequence floors
         # with TTL expiry.  First copy wins; every later copy arriving
@@ -416,7 +417,6 @@ class BrokerNode(Host):
             self._remove_subscription(neighbour, filter)
         for filter in self.adverts.filters_from(neighbour):
             self._remove_advertisement(neighbour, filter)
-        self._adv_in.pop(neighbour, None)
 
     def attach_client(self, client_addr: Address) -> None:
         self.client_addrs.add(client_addr)
@@ -454,8 +454,7 @@ class BrokerNode(Host):
     ) -> None:
         if not self.adverts.store(source, filter, path, path_reset):
             return
-        if self.indexed:
-            self._adv_in_ids[(source, filter)] = self._adv_in[source].add(filter)
+        self._adv_in_ids[(source, filter)] = self._adv_in[source].add(filter)
         if self.rv is not None:
             self.rv.on_advertise(source, filter)
         if self.adv_pruned and source in self.neighbours:
@@ -466,12 +465,10 @@ class BrokerNode(Host):
     def _remove_advertisement(self, source: Address, filter: Filter) -> None:
         if not self.adverts.remove(source, filter):
             return
-        pid = self._adv_in_ids.pop((source, filter), None)
-        if pid is not None:
-            poset = self._adv_in[source]
-            poset.remove(pid)
-            if not len(poset):
-                del self._adv_in[source]
+        poset = self._adv_in[source]
+        poset.remove(self._adv_in_ids.pop((source, filter)))
+        if not poset:
+            del self._adv_in[source]
         if self.rv is not None:
             self.rv.on_unadvertise(source, filter)
         if self.adv_pruned and source in self.neighbours:
@@ -481,13 +478,8 @@ class BrokerNode(Host):
 
     def _adv_intersects(self, neighbour: Address, filter: Filter) -> bool:
         """Has ``neighbour`` advertised anything intersecting ``filter``?"""
-        if self.indexed:
-            poset = self._adv_in.get(neighbour)
-            return poset is not None and poset.intersecting_any(filter)
-        return any(
-            filters_intersect(advert, filter)
-            for advert in self.adverts_by_source.get(neighbour, ())
-        )
+        poset = self._adv_in.get(neighbour)
+        return poset is not None and poset.intersecting_any(filter)
 
     def _sub_blocked(self, neighbour: Address, filter: Filter) -> bool:
         """Should forwarding ``filter`` toward ``neighbour`` be withheld?
@@ -507,16 +499,9 @@ class BrokerNode(Host):
         already justifies (or keeps justifying) every subscription the
         covered one could.
         """
-        if self.indexed:
-            poset = self._adv_in.get(source)
-            if poset is None:
-                return False
-            own = self._adv_in_ids.get((source, filter))
-            return any(pid != own for pid in poset.covering(filter))
-        return any(
-            advert != filter and filter_covers(advert, filter)
-            for advert in self.adverts_by_source.get(source, ())
-        )
+        own = self._adv_in_ids.get((source, filter))
+        poset = self._adv_in.get(source)
+        return poset is not None and any(pid != own for pid in poset.covering(filter))
 
     def _unblock_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Forward the stored subscriptions a new advertisement unblocks.
@@ -583,11 +568,10 @@ class BrokerNode(Host):
         """
         problems = [f"subs: {p}" for p in self.subs.check()]
         problems += [f"adverts: {p}" for p in self.adverts.check()]
-        # The posets hold every stored advertisement, or (naive) none.
+        # The posets hold every stored advertisement, each under its source.
         per_source = Counter(source for source, _ in self._adv_in_ids)
         if (
-            self._adv_in_ids.keys() - self._adv_paths.keys()
-            or len(self._adv_in_ids) not in (0, len(self._adv_paths))
+            self._adv_in_ids.keys() != self._adv_paths.keys()
             or {source: len(poset) for source, poset in self._adv_in.items()} != per_source
         ):
             problems.append("adverts: per-source posets out of step with the store")

@@ -18,13 +18,13 @@ The server keeps its subscriptions in the same link-less
 :class:`~repro.events.table.FilterTable` a broker uses and asks it who is
 interested — through the counting
 :class:`~repro.events.index.PredicateIndex` by default; ``indexed=False``
-restores the seed's linear scan over every client's filter list.  A
-publication is a batch of one: single and batched publishes share one
-match-and-deliver method.  ``match_operations`` stays meaningful under
-both strategies: it counts the filters scanned on the naive path and the
-candidates the index collected on the indexed path — the quantity E4
-compares is "how much matching work the central server does", and both
-figures are exactly that for their dispatch strategy.
+gives it a :class:`~repro.events.index.ScanStore`, the seed's linear
+scan over every client's filter.  A publication is a batch of one:
+single and batched publishes share one match-and-deliver method.
+``match_operations`` is what the table's ``index.ops`` grew by: filters
+scanned by the store, candidates collected by the index — the quantity
+E4 compares is "how much matching work the central server does", and
+both figures are exactly that for their structure.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class ElvinServer(Host):
         batched: bool = False,
     ):
         super().__init__(sim, network, position)
-        self.indexed = indexed
         # Batched fast path: a PublishBatch burst is matched in one
         # table query and each client receives one NotifyBatch.
         # Off, bursts unbundle through the one-at-a-time path with
@@ -154,10 +153,7 @@ class ElvinServer(Host):
         index = self.table.index
         ops_before = index.ops
         interested = self.table.interested(notifications)
-        if self.indexed:
-            self.match_operations += index.ops - ops_before
-        else:
-            self.match_operations += self.table.stored_count() * len(notifications)
+        self.match_operations += index.ops - ops_before
         per_client: dict[Address, list] = {}
         for notification, clients in zip(notifications, interested):
             for client in clients:

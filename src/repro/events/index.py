@@ -54,13 +54,15 @@ engine pins events to patterns through its own per-type buckets):
   Brokers hold it partitioned by subject, one part per subject
   (:class:`~repro.events.sharding.ShardedCoveringPoset`), like the index.
 
+* :class:`ScanStore` — the naive scans, as a structure either can be
+  swapped for, so the routing code runs one algorithm over both.
+
 All structures are exact: they return precisely what the naive
 ``Filter.matches`` / ``filter_covers`` scans return — the randomized
 equivalence suites in ``tests/test_index_equivalence.py`` and
 ``tests/test_batch_equivalence.py`` enforce this across all ten
-operators — so consumers can dispatch through them while the
-``indexed=False`` reference keeps the naive path runnable (the budget
-benchmark's ``city_edge`` prices the indexed, batched path absolutely).
+operators — and the broker suites run ``indexed=False`` beside them (the
+budget benchmark's ``city_edge`` prices the indexed, batched path absolutely).
 """
 
 from __future__ import annotations
@@ -885,3 +887,47 @@ class CoveringPoset:
             elif filter_satisfiable(f):
                 out.append(pid)
         return sorted(out)
+
+
+
+class ScanStore:
+    """The naive reference as a structure: ``indexed=False`` puts one where
+    the index and each poset would be.  Every query — :meth:`holders` and
+    the poset's four — scans the store in insertion order; :attr:`ops`
+    counts filters scanned, one per stored filter per notification."""
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[Filter, Any]] = {}
+        self._ids = count()
+        self.ops = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, filter: Filter, payload: Any = None) -> int:
+        sid = next(self._ids)
+        self._entries[sid] = (filter, payload)
+        return sid
+
+    def remove(self, sid: int) -> Any:
+        return self._entries.pop(sid)[1]
+
+    def payload(self, sid: int) -> Any:
+        return self._entries[sid][1]
+
+    def holders(self, notifications: Sequence[Notification]) -> list[set]:
+        entries = self._entries.values()
+        self.ops += len(entries) * len(notifications)
+        return [{p for f, p in entries if f.matches(n)} for n in notifications]
+
+    def covers_any(self, filter: Filter) -> bool:
+        return any(filter_covers(f, filter) for f, _ in self._entries.values())
+
+    def covering(self, filter: Filter) -> list[int]:
+        return [sid for sid, (f, _) in self._entries.items() if filter_covers(f, filter)]
+
+    def covered_by(self, filter: Filter) -> list[int]:
+        return [sid for sid, (f, _) in self._entries.items() if filter_covers(filter, f)]
+
+    def intersecting_any(self, filter: Filter) -> bool:
+        return any(filters_intersect(f, filter) for f, _ in self._entries.values())

@@ -22,10 +22,10 @@ leaves paths narrowed by departed origins, flooding control state wider
 than a freshly-built overlay ever would.  Resets only ever widen, so the
 pair cannot oscillate.
 
-``indexed=False`` keeps the seed's linear scans — list membership and
-:func:`~repro.events.covering.filter_covers` sweeps that never consult
-the posets or ``sources`` — as the oracle the equivalence suites compare
-the indexed fabric against.
+``indexed=False`` swaps a structure, not the algorithm: a scanning
+:class:`~repro.events.index.ScanStore` stands in for the index and every
+poset, and every book is kept and audited as in the indexed mode — the
+reference the equivalence suites compare the indexed fabric against.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import Any, Callable, Collection, Hashable, Sequence
 
-from repro.events.covering import filter_covers
 from repro.events.filters import Filter
-from repro.events.index import PredicateIndex
+from repro.events.index import PredicateIndex, ScanStore
 from repro.events.model import Notification
 from repro.events.sharding import ShardedCoveringPoset
 from repro.net.network import Address
@@ -56,8 +55,9 @@ class FilterTable:
     ``send(neighbour, payload)`` the owner's control-message sender.
     ``forward_msg(filter, path, path_reset)`` / ``retract_msg(filter)``
     are the wire pair of this kind.  ``index`` replaces the default
-    :class:`PredicateIndex` (the subscription table is partitioned by
-    subject, :mod:`repro.events.sharding`),
+    :class:`PredicateIndex` (a ``ScanStore`` when ``indexed`` is off; the
+    subscription table is partitioned by subject,
+    :mod:`repro.events.sharding`),
     ``record(filter, source)`` builds what the by-source lists hold (an
     object exposing ``.filter``; the bare filter by default), and
     ``blocked(neighbour, filter)`` withholds forwarding toward a link —
@@ -83,22 +83,22 @@ class FilterTable:
         self.send = send
         self.forward_msg = forward_msg
         self.retract_msg = retract_msg
-        self.indexed = indexed
         self.covering_enabled = covering_enabled
         self.blocked = blocked
         self._record = _bare if record is None else record
         self._filter_of = _bare if record is None else attrgetter("filter")
         # Stored filters by immediate source (neighbour broker or client).
         self.by_source: dict[Address, list] = {}
-        # The matching-fabric structures exist regardless of the switch
-        # (they are cheap when empty); only the indexed path consults
-        # them.  Counting index over every stored filter (payload: the
-        # source it arrived from).
-        self.index = PredicateIndex() if index is None else index
+        # ``indexed`` only picks the structures.  Index over every stored
+        # filter (payload: the source it arrived from).
+        poset_type = ShardedCoveringPoset if indexed else ScanStore
+        if index is None:
+            index = PredicateIndex() if indexed else ScanStore()
+        self.index = index
         self.entry_ids: dict[tuple[Address, Filter], Hashable] = {}
         # Covering poset over the same store — drives the "what was the
         # removed filter masking?" query on removal.
-        self.poset = ShardedCoveringPoset()
+        self.poset = poset_type()
         self.poset_ids: dict[tuple[Address, Filter], Hashable] = {}
         self.sources: dict[Filter, set[Address]] = {}
         # Source path each stored filter arrived with (clients arrive
@@ -110,7 +110,7 @@ class FilterTable:
         # posets over them — the "is this covered by an already-forwarded
         # one?" query.
         self.forwarded: dict[Address, list[Filter]] = {}
-        self.fwd_posets: defaultdict[Address, ShardedCoveringPoset] = defaultdict(ShardedCoveringPoset)
+        self.fwd_posets: defaultdict[Address, ShardedCoveringPoset] = defaultdict(poset_type)
         self.fwd_ids: dict[Address, dict[Filter, Hashable]] = {}
         # The path each filter was last pushed toward a neighbour with
         # (as a set) — when a narrower copy arrives, the delta is re-sent
@@ -144,21 +144,9 @@ class FilterTable:
         Sources come in by-source insertion order — the order deliveries
         leave in, so simulator tie-breaks do not depend on the matching
         strategy — and ``exclude`` (where a publication came from) is
-        never among them.  This is the one place that knows indexed from
-        scanned: ``index.holders`` (which tells one notification from
-        many), or the ``Filter.matches`` scan when ``indexed`` is off.
+        never among them.  The index answers (``holders`` tells one
+        notification from many); the by-source lists only order it.
         """
-        if not self.indexed:
-            filter_of = self._filter_of
-            return [
-                [
-                    source
-                    for source, records in self.by_source.items()
-                    if source != exclude
-                    and any(filter_of(r).matches(notification) for r in records)
-                ]
-                for notification in notifications
-            ]
         out: list[list[Address]] = []
         for holders in self.index.holders(notifications):
             holders.discard(exclude)
@@ -187,15 +175,7 @@ class FilterTable:
         if self.addr in path:
             return False
         key = (source, filter)
-        if self.indexed:
-            known = key in self.entry_ids
-            if not known:
-                self.entry_ids[key] = self.index.add(filter, payload=source)
-                self.poset_ids[key] = self.poset.add(filter, payload=key)
-                self.sources.setdefault(filter, set()).add(source)
-        else:
-            known = filter in self.filters_from(source)
-        if known:
+        if key in self.paths:
             if path_reset:
                 self._widen_stored(source, filter, path)
             else:
@@ -203,6 +183,9 @@ class FilterTable:
             return False
         self.by_source.setdefault(source, []).append(self._record(filter, source))
         self.paths[key] = path
+        self.entry_ids[key] = self.index.add(filter, payload=source)
+        self.poset_ids[key] = self.poset.add(filter, payload=key)
+        self.sources.setdefault(filter, set()).add(source)
         self._propagate(source, filter, path)
         return True
 
@@ -252,32 +235,27 @@ class FilterTable:
                 self.by_source[source] = kept
             else:
                 del self.by_source[source]
-            del self.paths[(source, filter)]
-        if self.indexed:
-            if removed:
-                key = (source, filter)
-                self.index.remove(self.entry_ids.pop(key))
-                self.poset.remove(self.poset_ids.pop(key))
-                holders = self.sources[filter]
-                holders.discard(source)
-                if not holders:
-                    del self.sources[filter]
-            retract = self._retract_indexed
-        else:
-            retract = self._retract_scanned
+            key = (source, filter)
+            del self.paths[key]
+            self.index.remove(self.entry_ids.pop(key))
+            self.poset.remove(self.poset_ids.pop(key))
+            holders = self.sources[filter]
+            holders.discard(source)
+            if not holders:
+                del self.sources[filter]
         for neighbour in self.links:
             if neighbour != source:
-                retract(neighbour, filter)
+                self._retract(neighbour, filter)
         return removed
 
-    def _retract_indexed(self, neighbour: Address, filter: Filter) -> None:
+    def _retract(self, neighbour: Address, filter: Filter) -> None:
         """Withdraw ``filter`` from a neighbour and re-forward what it masked.
 
         A stored filter can only have been suppressed (never forwarded)
         because some forwarded filter covered it, so the candidates for
         re-forwarding are exactly the store poset's ``covered_by`` set of
-        the withdrawn filter — a poset lookup instead of a rescan of the
-        whole store.
+        the withdrawn filter, re-offered in insertion order — one poset
+        query instead of re-offering the whole store.
         """
         if filter not in self.fwd_ids.get(neighbour, ()):
             return
@@ -296,19 +274,6 @@ class FilterTable:
                 # filter_covers is not reflexive for range constraints
                 # over strings/bools).
                 self._offer(neighbour, masked, self.paths[(masked_source, masked)])
-
-    def _retract_scanned(self, neighbour: Address, filter: Filter) -> None:
-        """The linear-scan twin of :meth:`_retract_indexed`: every stored
-        filter not from ``neighbour`` is a re-forwarding candidate."""
-        if filter not in self.forwarded.get(neighbour, ()):
-            return
-        remaining = list(self.entries(exclude=neighbour))
-        if any(f == filter for _, f in remaining):
-            self.rewiden(neighbour, filter)
-            return
-        self.withdraw(neighbour, filter)
-        for src, f in remaining:
-            self._offer(neighbour, f, self.paths[(src, f)])
 
     # ------------------------------------------------------------------
     # Toward one neighbour
@@ -344,23 +309,14 @@ class FilterTable:
         if neighbour in path:
             return
         already = self.forwarded.setdefault(neighbour, [])
-        if self.indexed:
-            poset = self.fwd_posets[neighbour]
-            ids = self.fwd_ids.setdefault(neighbour, {})
-            if filter in ids:
-                self.narrow(neighbour, filter, path)
-                return
-            if self.covering_enabled and poset.covers_any(filter):
-                return
-            ids[filter] = poset.add(filter)
-        else:
-            if filter in already:
-                self.narrow(neighbour, filter, path)
-                return
-            if self.covering_enabled and any(
-                filter_covers(existing, filter) for existing in already
-            ):
-                return
+        poset = self.fwd_posets[neighbour]
+        ids = self.fwd_ids.setdefault(neighbour, {})
+        if filter in ids:
+            self.narrow(neighbour, filter, path)
+            return
+        if self.covering_enabled and poset.covers_any(filter):
+            return
+        ids[filter] = poset.add(filter)
         already.append(filter)
         self.sent.setdefault(neighbour, {})[filter] = frozenset(path)
         self.send(neighbour, self.forward_msg(filter, path + (self.addr,)))
@@ -379,8 +335,7 @@ class FilterTable:
     def withdraw(self, neighbour: Address, filter: Filter) -> None:
         """Strike a forwarded filter from every book and tell the neighbour."""
         self.forwarded[neighbour].remove(filter)
-        if self.indexed:
-            self.fwd_posets[neighbour].remove(self.fwd_ids[neighbour].pop(filter))
+        self.fwd_posets[neighbour].remove(self.fwd_ids[neighbour].pop(filter))
         del self.sent[neighbour][filter]
         self.send(neighbour, self.retract_msg(filter))
 
@@ -398,10 +353,7 @@ class FilterTable:
         old = sent.get(filter)
         if old is None:
             return  # not forwarded toward this neighbour
-        if self.indexed:
-            holders = [src for src in self.sources.get(filter, ()) if src != neighbour]
-        else:
-            holders = [src for src, f in self.entries(exclude=neighbour) if f == filter]
+        holders = [src for src in self.sources.get(filter, ()) if src != neighbour]
         survivor_paths = [self.paths[(src, filter)] for src in holders]
         if not survivor_paths:
             return
@@ -462,15 +414,14 @@ class FilterTable:
             problems.append("a (source, filter) pair is stored twice")
         if set(self.paths) != keys:
             problems.append(f"paths out of step with the store: {set(self.paths) ^ keys!r}")
-        if self.indexed:
-            for name, ids, structure in (
-                ("index", self.entry_ids, self.index),
-                ("poset", self.poset_ids, self.poset),
-            ):
-                if set(ids) != keys or len(structure) != len(keys):
-                    problems.append(f"{name} entries out of step with the store")
-            if self.sources != stored:
-                problems.append("sources out of step with the store")
+        for name, ids, structure in (
+            ("index", self.entry_ids, self.index),
+            ("poset", self.poset_ids, self.poset),
+        ):
+            if set(ids) != keys or len(structure) != len(keys):
+                problems.append(f"{name} entries out of step with the store")
+        if self.sources != stored:
+            problems.append("sources out of step with the store")
         for neighbour, filters in self.forwarded.items():
             if filters and neighbour not in self.links:
                 problems.append(f"filters forwarded toward non-link {neighbour!r}")
@@ -478,7 +429,7 @@ class FilterTable:
                 problems.append(f"a filter is forwarded twice toward {neighbour!r}")
             if set(self.sent.get(neighbour, ())) != set(filters):
                 problems.append(f"sent paths out of step with forwards toward {neighbour!r}")
-            if self.indexed and (
+            if (
                 set(self.fwd_ids.get(neighbour, ())) != set(filters)
                 or len(self.fwd_posets.get(neighbour, ())) != len(filters)
             ):

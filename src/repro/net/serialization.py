@@ -45,6 +45,7 @@ from repro.events.sharding import Attach, Deliver, Detach, Routed
 _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # a malformed prefix must not OOM us
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+_OPS = {op.value: op for op in Op}  # a dict hit costs a tenth of ``Op(value)``
 _loads = json.JSONDecoder().decode
 
 
@@ -77,14 +78,19 @@ def encode_filter(filter: Filter) -> list:
 
 
 def decode_filter(obj: list) -> Filter:
-    return Filter(
-        *(
-            Constraint(triple[0], Op(triple[1]))
-            if len(triple) == 2
-            else Constraint(triple[0], Op(triple[1]), triple[2])
-            for triple in obj
-        )
-    )
+    return Filter(*map(_constraint, obj))
+
+
+def _constraint(obj: Any) -> Constraint:
+    """``[name, "exists"]`` or ``[name, op, value]``, with a name a
+    notification could carry: anything else is refused, not trimmed."""
+    if type(obj) is list and type(name := obj[0]) is str and name:
+        op = _OPS[obj[1]]
+        if len(obj) == 2 and op is Op.EXISTS:
+            return Constraint(name, op)
+        if len(obj) == 3 and op is not Op.EXISTS:
+            return Constraint(name, op, obj[2])
+    raise ValueError(f"misshapen constraint: {obj!r}")
 
 
 def _table(rows: Any) -> list:

@@ -78,7 +78,8 @@ class LeafSet:
     The leaf set determines message delivery (a key is delivered at the
     member closest to it) and replica placement (the k closest members hold
     copies), so every operation here keeps both sides sorted by ring
-    proximity to the owner.
+    proximity to the owner.  Members are always the union of the two
+    closest halves, cached until the membership changes.
     """
 
     def __init__(self, owner: NodeDescriptor, size: int = 8):
@@ -87,6 +88,7 @@ class LeafSet:
         self.owner = owner
         self.size = size
         self._members: dict[Guid, NodeDescriptor] = {}
+        self._sides: tuple[list[NodeDescriptor], list[NodeDescriptor]] | None = None
 
     # ------------------------------------------------------------------
     def _cw(self, guid: Guid) -> int:
@@ -96,24 +98,33 @@ class LeafSet:
         return guid.clockwise_distance(self.owner.guid)
 
     def _side(self, clockwise: bool) -> list[NodeDescriptor]:
-        keyfn = self._cw if clockwise else self._ccw
-        members = sorted(self._members.values(), key=lambda d: keyfn(d.guid))
-        half = self.size // 2
-        return members[:half]
+        if self._sides is None:
+            members, half = self._members.values(), self.size // 2
+            self._sides = tuple(
+                sorted(members, key=lambda d: keyfn(d.guid))[:half] for keyfn in (self._cw, self._ccw)
+            )
+        return self._sides[not clockwise]
 
     def _trim(self) -> None:
+        self._sides = None  # still right after the trim: it keeps both halves
         keep = {d.guid for d in self._side(True)} | {d.guid for d in self._side(False)}
         self._members = {g: d for g, d in self._members.items() if g in keep}
 
     # ------------------------------------------------------------------
     def add(self, descriptor: NodeDescriptor) -> bool:
-        if descriptor.guid == self.owner.guid or descriptor.guid in self._members:
+        guid = descriptor.guid
+        if guid == self.owner.guid or guid in self._members:
             return False
-        self._members[descriptor.guid] = descriptor
+        if self.is_saturated():
+            far_cw, far_ccw = self.extremes()
+            if self._cw(guid) > self._cw(far_cw.guid) and self._ccw(guid) > self._ccw(far_ccw.guid):
+                return False  # beyond both full sides: the trim would drop it
+        self._members[guid] = descriptor
         self._trim()
-        return descriptor.guid in self._members
+        return guid in self._members
 
     def remove(self, guid: Guid) -> bool:
+        self._sides = None
         return self._members.pop(guid, None) is not None
 
     def __contains__(self, guid: Guid) -> bool:

@@ -40,3 +40,23 @@ def resolve_error(sim: Simulator, future: Future, timeout: float = 300.0):
     assert completed, "future never completed within the timeout"
     assert future.exception is not None, "expected the future to fail"
     return future.exception
+
+
+def scanned_retract(table, neighbour, filter) -> None:
+    """The seed's retraction rule: the reference for ``FilterTable._retract``.
+
+    Withdraw ``filter`` from ``neighbour`` unless a copy stored from some
+    other source keeps it forwarded (then only re-widen its path), and
+    re-offer *every* stored filter not from ``neighbour``, in by-source
+    order.  The table re-offers only what the withdrawn filter covers;
+    patched in with ``monkeypatch``, this must deliver the same.
+    """
+    if filter not in table.forwarded.get(neighbour, ()):
+        return
+    remaining = list(table.entries(exclude=neighbour))
+    if any(f == filter for _, f in remaining):
+        table.rewiden(neighbour, filter)
+        return
+    table.withdraw(neighbour, filter)
+    for source, stored in remaining:
+        table._offer(neighbour, stored, table.paths[(source, stored)])

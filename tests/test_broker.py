@@ -7,7 +7,15 @@ from repro.events.elvin import ElvinClient, ElvinServer
 from repro.events.filters import Filter, eq, gt, type_is
 from repro.events.mobility import MobileClient
 from repro.events.model import make_event
-from repro.events.wire import Notify, NotifyBatch, Publish, PublishBatch
+from repro.events.table import FilterTable
+from repro.events.wire import (
+    Notify,
+    NotifyBatch,
+    Publish,
+    PublishBatch,
+    Subscribe,
+    Unsubscribe,
+)
 from repro.net import FixedLatency, Network, Position
 from repro.simulation import Simulator
 
@@ -213,6 +221,33 @@ class TestTopologyIdempotence:
         b.disconnect(a)
         sim.run_for(1.0)
         assert (dict(a.control_counts), dict(b.control_counts)) == counts
+
+
+class TestAudit:
+    """Books the audit used to let drift in one mode or the other."""
+
+    def test_missing_per_source_advert_posets_are_reported(self):
+        sim, network, brokers = make_world(brokers=2)
+        producer = client_at(sim, network, brokers[0])
+        producer.advertise(Filter(type_is("weather")))
+        sim.run_for(1.0)
+        broker = brokers[0]
+        broker.check_invariants()
+        assert broker._adv_intersects(producer.addr, Filter(type_is("weather")))
+        broker._adv_in.clear()
+        broker._adv_in_ids.clear()
+        with pytest.raises(AssertionError, match="per-source posets"):
+            broker.check_invariants()
+
+    def test_a_naive_table_audits_its_sources_book(self):
+        table = FilterTable(
+            "me", {"n"}, lambda neighbour, msg: None, Subscribe, Unsubscribe,
+            indexed=False, covering_enabled=True,
+        )
+        table.store("s1", Filter(type_is("weather")))
+        assert table.check() == []
+        table.sources.clear()
+        assert "sources out of step with the store" in table.check()
 
 
 class TestWireForms:

@@ -5,7 +5,8 @@ here ``hypothesis`` draws notifications over the awkward corners of the
 value domain — the ``2`` / ``2.0`` / ``True`` family boundary, ints past
 64 bits, unicode names and values, empty batches — and packs them into
 random :class:`Frames` bundles whose messages share notification objects,
-the way a shard's fan-out does.  Run longer with
+the way a shard's fan-out does; and filters over every operator and
+value family, which the control messages carry.  Run longer with
 ``--hypothesis-profile=nightly`` (profiles in ``tests/conftest.py``).
 """
 
@@ -14,9 +15,19 @@ import struct
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.events.filters import Constraint, Filter, Op
 from repro.events.model import Notification, make_event
 from repro.events.sharding import Deliver, Routed
-from repro.events.wire import Notify, NotifyBatch, Publish, PublishBatch
+from repro.events.wire import (
+    Advertise,
+    Notify,
+    NotifyBatch,
+    Publish,
+    PublishBatch,
+    Subscribe,
+    Unadvertise,
+    Unsubscribe,
+)
 from repro.net.serialization import FrameDecoder, Frames, encode_frame
 
 FAMILY_BOUNDARY = [2, 2.0, True, 1, 1.0, False, 0, 0.0, -0.0, -1, -1.0]
@@ -116,3 +127,37 @@ def test_a_notification_shared_by_k_batches_is_in_the_bytes_once():
     assert size == len(data) - 4  # one wire frame
     back = decode_all(data)
     assert len(back) == k and len({id(message.notifications[0]) for _, _, message in back}) == 1
+
+
+STRING_OPS = (Op.PREFIX, Op.SUFFIX, Op.CONTAINS)
+
+
+@st.composite
+def constraints(draw):
+    """Any operator; any value family the operator accepts — bools under
+    ranges, ints past 64 bits, unicode names and strings."""
+    name, op = draw(names), draw(st.sampled_from(Op))
+    if op is Op.EXISTS:
+        return Constraint(name, op)
+    return Constraint(name, op, draw(st.text(max_size=12) if op in STRING_OPS else values))
+
+
+filters = st.lists(constraints(), min_size=1, max_size=5).map(lambda cs: Filter(*cs))
+
+
+def typed_constraints(filter):
+    return sorted((c.name, c.op.value, type(c.value).__name__, repr(c.value)) for c in filter.constraints)
+
+
+@given(filters, st.lists(addresses, max_size=3).map(tuple), st.booleans())
+def test_a_filter_round_trips_equal_and_equally_hashed(filter, path, reset):
+    sent = [
+        Subscribe(filter, path, reset), Advertise(filter, path, reset),
+        Unsubscribe(filter), Unadvertise(filter),
+    ]
+    bundle = Frames(tuple(("s", "d", message) for message in sent))
+    back = [message for _, _, message in decode_all(encode_frame("", "", bundle))]
+    assert back == sent
+    for message in back:
+        assert message.filter == filter and hash(message.filter) == hash(filter)
+        assert typed_constraints(message.filter) == typed_constraints(filter)

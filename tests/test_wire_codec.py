@@ -140,6 +140,13 @@ MALFORMED = {
     "wrong-arity": framed_json(["a", "b"]),
     "unknown-tag": framed_json(["a", "b", {"t": "bogus"}]),
     "unknown-op": framed_json(["a", "b", {"t": "unsub", "f": [["x", "~=", 1]]}]),
+    # Constraints: the arity their operator takes, a name a notification can carry.
+    "constraint-too-long": framed_json(["a", "b", {"t": "unsub", "f": [["x", "=", 1, 2]]}]),
+    "constraint-too-short": framed_json(["a", "b", {"t": "unsub", "f": [["x", "="]]}]),
+    "exists-with-a-value": framed_json(["a", "b", {"t": "unsub", "f": [["x", "exists", 1]]}]),
+    "constraint-not-a-list": framed_json(["a", "b", {"t": "unsub", "f": ["x"]}]),
+    "name-not-a-string": framed_json(["a", "b", {"t": "sub", "f": [[5, "=", 1]]}]),
+    "name-empty": framed_json(["a", "b", {"t": "adv", "f": [["", "=", 1]]}]),
     # The notification table and the references into it.
     "table-not-a-list": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": {"x": 1}}]),
     "row-not-a-mapping": framed_json(["a", "b", {"t": "ntf", "n": 0, "N": [[["x", 1]]]}]),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift check: the architecture/benchmark docs must track the code.
 
-Three invariants, each cheap to check from file contents alone:
+Four invariants, each cheap to check from file contents alone:
 
 1. Every routing mode accepted by ``BrokerNode`` (the ``ROUTING_MODES``
    tuple, whichever module under ``src/repro/events/`` holds it) and
@@ -11,13 +11,18 @@ Three invariants, each cheap to check from file contents alone:
    metric named in ``BENCHMARK.json`` is mentioned in
    ``docs/BENCHMARKS.md``.
 3. ``README.md`` links both documents.
+4. Each layer of ``docs/ARCHITECTURE.md``'s layer map only imports
+   downward: no module under ``src/repro/<layer>/`` imports a higher
+   layer of ``LAYERS``, type-only imports included, except the
+   ``UPWARD_IMPORTS`` allowed today — a list that may only shrink, so
+   an entry whose import is gone is reported too.
 
 Run from the repo root: ``python tools/check_docs.py``.  Exits 1 and
-lists every missing mention, so adding a benchmark or a routing mode
-without documenting it fails CI.
+lists every problem, so adding a benchmark or a routing mode without
+documenting it, or an import against the layer map, fails CI.
 
 ``python tools/check_docs.py --options`` prints, instead, the report
-ROADMAP item 3 works from: every defaulted parameter in ``src/repro/``
+ROADMAP item 9 works from: every defaulted parameter in ``src/repro/``
 that no call site sets (see :func:`unset_options`).  It is informational
 and always exits 0.
 """
@@ -31,6 +36,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The layer map, from the wire up.
+LAYERS = ("simulation", "net", "overlay", "events", "evolution")
+# Upward imports that exist today, by importing module -> the layers it
+# reaches up to.  Remove an entry when its import goes; never add one.
+UPWARD_IMPORTS = {
+    "repro/simulation/transport.py": {"net"},
+    "repro/net/serialization.py": {"events"},
+    "repro/net/transport.py": {"events"},
+    "repro/events/broker.py": {"evolution"},  # under TYPE_CHECKING
+}
 
 
 def routing_modes() -> list[str]:
@@ -57,6 +73,36 @@ def equivalence_modes() -> list[str]:
             if name not in names:
                 names.append(name)
     return names
+
+
+def upward_imports() -> list[str]:
+    """Imports against the layer map, and allow-list entries gone stale."""
+    problems: list[str] = []
+    seen: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        module = path.relative_to(ROOT / "src").as_posix()
+        layer = module.split("/")[1]
+        if layer not in LAYERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] != "repro" or len(parts) < 2 or parts[1] not in LAYERS:
+                    continue
+                if LAYERS.index(parts[1]) > LAYERS.index(layer):
+                    seen.setdefault(module, set()).add(parts[1])
+                    if parts[1] not in UPWARD_IMPORTS.get(module, ()):
+                        problems.append(f"{module} imports {name}: {parts[1]} is above {layer}")
+    for module, allowed in UPWARD_IMPORTS.items():
+        for target in sorted(allowed - seen.get(module, set())):
+            problems.append(f"{module} no longer imports {target}: drop it from UPWARD_IMPORTS")
+    return problems
 
 
 def unset_options() -> list[str]:
@@ -172,12 +218,14 @@ def main() -> int:
         if target not in readme:
             problems.append(f"README.md does not link {target}")
 
+    problems += upward_imports()
+
     if problems:
         for problem in problems:
             print(f"[docs] DRIFT {problem}")
-        print(f"[docs] {len(problems)} problem(s) — update the docs alongside the code")
+        print(f"[docs] {len(problems)} problem(s) — update the docs (or the imports) alongside the code")
         return 1
-    print("[docs] ok — architecture and benchmark docs track the code")
+    print("[docs] ok — architecture and benchmark docs track the code; layers import downward")
     return 0
 
 
