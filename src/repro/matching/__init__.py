@@ -13,7 +13,7 @@ from repro.matching.patterns import Bindings, EventPattern, FactPattern, Ref
 from repro.matching.rules import Rule, RuleContext
 from repro.matching.window import TimeWindowBuffer
 from repro.matching.engine import MatchingEngine
-from repro.matching.matchlet import Matchlet, RuleRegistry, default_rule_registry
+from repro.matching.matchlet import Matchlet, default_rule_registry
 from repro.matching.discovery import DiscoveryMatchlet, matchlet_code_guid
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Ref",
     "Rule",
     "RuleContext",
-    "RuleRegistry",
     "TimeWindowBuffer",
     "default_rule_registry",
     "matchlet_code_guid",

@@ -1,10 +1,12 @@
 """Type projection for matchlets (§5).
 
 "Matchlets use type projection mechanisms for binding to the XML data
-contained within the events."  Events travel as XML between nodes; a rule
-that wants typed access declares a projection over the event's XML form and
-binds it with :func:`project_event` — robust to extra attributes added by
-newer sensor versions, exactly like document projection (C7).
+contained within the events."  An :class:`EventProjection` is a §3
+:class:`~repro.xmlkit.projection.XmlProjection` over an ``<event>``
+element, and :func:`project_event` binds it to the event's canonical XML
+form with :func:`~repro.xmlkit.projection.project` — the same rules as
+document projection (C7): extra attributes are ignored, a field the event
+lacks or cannot supply takes its default, and one without a default raises.
 
 Example::
 
@@ -20,35 +22,16 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, get_type_hints
-
 from repro.events.model import Notification
 from repro.xmlkit.codec import notification_to_xml
-from repro.xmlkit.projection import ProjectionError
+from repro.xmlkit.model import XmlElement
+from repro.xmlkit.projection import ProjectionError, XmlProjection, project
 
 
-class EventProjection:
+class EventProjection(XmlProjection):
     """Declarative typed view over a notification's attributes."""
 
-    _fields: dict[str, tuple[Any, Any]] = {}
-    _MISSING = object()
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        hints = {
-            name: hint
-            for name, hint in get_type_hints(cls).items()
-            if not name.startswith("_")
-        }
-        cls._fields = {
-            name: (hint, getattr(cls, name, cls._MISSING)) for name, hint in hints.items()
-        }
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={getattr(self, name, None)!r}" for name in type(self)._fields
-        )
-        return f"{type(self).__name__}({inner})"
+    __tag__ = "event"
 
 
 def project_event(cls: type, event: Notification):
@@ -57,24 +40,13 @@ def project_event(cls: type, event: Notification):
     Field resolution goes through the event's canonical XML form — the
     same bytes a remote pipeline component would receive — so the binding
     semantics are identical whether the event arrived locally or over the
-    wire.  Unknown attributes are ignored; missing required fields raise.
+    wire.
     """
     if not (isinstance(cls, type) and issubclass(cls, EventProjection)):
         raise TypeError("project_event() needs an EventProjection subclass")
-    xml_form = notification_to_xml(event)
-    available: dict[str, Any] = {}
-    for attr_element in xml_form.children_by_tag("attr"):
-        available[attr_element.attrs["name"]] = attr_element.attrs["value"]
-
-    instance = cls.__new__(cls)
-    for name, (hint, default) in cls._fields.items():
-        if name in available:
-            setattr(instance, name, _convert(available[name], hint, name))
-        elif default is not EventProjection._MISSING:
-            setattr(instance, name, default)
-        else:
-            raise ProjectionError(f"event lacks required field {name!r}")
-    return instance
+    attrs = notification_to_xml(event).children_by_tag("attr")
+    values = {attr.attrs["name"]: attr.attrs["value"] for attr in attrs}
+    return project(cls, XmlElement("event", values))
 
 
 def projects_event(cls: type, event: Notification) -> bool:
@@ -84,27 +56,3 @@ def projects_event(cls: type, event: Notification) -> bool:
         return True
     except ProjectionError:
         return False
-
-
-def _convert(raw: str, hint: Any, name: str) -> Any:
-    if hint is str:
-        return raw
-    if hint is bool:
-        if raw in ("true", "1"):
-            return True
-        if raw in ("false", "0"):
-            return False
-        raise ProjectionError(f"field {name!r}: cannot read {raw!r} as bool")
-    if hint is int:
-        try:
-            return int(float(raw))
-        except ValueError as err:
-            raise ProjectionError(f"field {name!r}: cannot read {raw!r} as int") from err
-    if hint is float:
-        try:
-            return float(raw)
-        except ValueError as err:
-            raise ProjectionError(
-                f"field {name!r}: cannot read {raw!r} as float"
-            ) from err
-    raise ProjectionError(f"field {name!r}: unsupported type {hint!r}")

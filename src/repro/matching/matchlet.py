@@ -4,17 +4,21 @@
 event distribution mechanism and performs matching on them.  Each matchlet
 writes its results onto the event bus.  Thus the primary API offered by the
 host to matchlets is an event delivery source and an event sink."
+
+Bundles name their rules by string.  The names resolve through
+``default_rule_registry``, a Cingal
+:class:`~repro.cingal.registry.ComponentRegistry` whose factories take
+``(ctx, params)`` — the bundle context and parameter dict — and return a
+:class:`~repro.matching.rules.Rule`.  Services register their rules there
+before deploying the matchlet bundles that name them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.cingal.registry import register_component
+from repro.cingal.registry import ComponentRegistry, register_component
 from repro.events.model import Notification
 from repro.knowledge.base import KnowledgeBase
 from repro.matching.engine import MatchingEngine
-from repro.matching.rules import Rule
 from repro.pipelines.component import PipelineComponent
 from repro.simulation import Simulator
 
@@ -41,35 +45,7 @@ class Matchlet(PipelineComponent):
         return self.engine.kb
 
 
-class RuleRegistry:
-    """Named rule factories, so bundles can reference rules by string.
-
-    A factory takes ``(ctx, params)`` — the bundle context and parameter
-    dict — and returns a :class:`Rule`.  Services register their rules here
-    before deploying matchlet bundles that name them.
-    """
-
-    def __init__(self) -> None:
-        self._factories: dict[str, Callable] = {}
-
-    def register(self, name: str, factory: Callable) -> None:
-        if name in self._factories:
-            raise ValueError(f"duplicate rule factory: {name}")
-        self._factories[name] = factory
-
-    def replace(self, name: str, factory: Callable) -> None:
-        self._factories[name] = factory
-
-    def build(self, name: str, ctx, params: dict) -> Rule:
-        if name not in self._factories:
-            raise KeyError(f"unknown rule: {name}")
-        return self._factories[name](ctx, params)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-
-default_rule_registry = RuleRegistry()
+default_rule_registry = ComponentRegistry()
 
 
 @register_component("matchlet")
@@ -83,7 +59,7 @@ def _make_matchlet(ctx, params):
     rule_names = [r for r in params.get("rules", "").split(",") if r]
     kb = KnowledgeBase()
     rules = tuple(
-        default_rule_registry.build(name, ctx, params) for name in rule_names
+        default_rule_registry.resolve(name)(ctx, params) for name in rule_names
     )
     return Matchlet(ctx.sim, kb, rules)
 

@@ -1,16 +1,17 @@
 """Sliding time-window buffers for event correlation.
 
-Besides the raw entry deque, the buffer maintains two incremental
-subject-keyed indexes so KB-guided joins can do keyed lookups instead of
+Besides the raw entry deque, the buffer keeps one incremental
+subject-keyed index so KB-guided joins can do keyed lookups instead of
 materializing and filtering the whole window per enumeration level:
 
-- ``_by_subject``: ``str(subject)`` → the subject's entries currently in
-  the buffer (a per-subject mirror of ``_entries``, oldest→newest),
-  maintained under ``add``, time eviction and ``max_items`` truncation.
 - ``_heads``: ``str(subject)`` → {entity key → that entity's latest
   ``(time, event)``}, the subject-keyed view of ``_latest``.  Like
   ``_latest`` it is bounded by the window only, so a flood of other
   subjects' events cannot push a quiet subject's head out of reach.
+
+The per-subject entry lookups (:meth:`TimeWindowBuffer.subjects`,
+:meth:`TimeWindowBuffer.recent_for_subject`) are filters of
+:meth:`TimeWindowBuffer.recent`: the engine joins over heads only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class TimeWindowBuffer:
             raise ValueError("window must be positive")
         self.window_s = window_s
         self.max_items = max_items
-        self._entries: deque[tuple[float, Notification]] = deque()
+        self._entries: deque[tuple[float, Notification]] = deque(maxlen=max_items)
         # Latest event per entity, bounded by the window only: a flood of
         # other entities' events must not evict a quiet entity's state.
         self._latest: dict = {}
@@ -45,8 +46,7 @@ class TimeWindowBuffer:
         # stable sort by -time over _latest's insertion order) exactly.
         self._first_seq: dict = {}
         self._seq = 0
-        # Subject-keyed indexes (see module docstring).
-        self._by_subject: dict[str, deque[tuple[float, Notification]]] = {}
+        # Subject-keyed index (see module docstring).
         self._heads: dict[str, dict[Any, tuple[float, Notification]]] = {}
         # Entity key → the subject string its head is filed under in _heads.
         self._entity_subject: dict[Any, str] = {}
@@ -69,13 +69,9 @@ class TimeWindowBuffer:
         return None if subject is None else str(subject)
 
     def add(self, time: float, event: Notification) -> None:
-        self._entries.append((time, event))
-        skey = self._subject_key(event)
-        if skey is not None:
-            self._by_subject.setdefault(skey, deque()).append((time, event))
-        if len(self._entries) > self.max_items:
-            self._drop_oldest()
+        self._entries.append((time, event))  # maxlen drops the oldest
         ekey = self._entity_key(event)
+        skey = self._subject_key(event)
         if ekey not in self._latest:
             self._seq += 1
             self._first_seq[ekey] = self._seq
@@ -90,21 +86,6 @@ class TimeWindowBuffer:
             del self._entity_subject[ekey]
         self.evict(time)
 
-    def _drop_oldest(self) -> None:
-        """Pop the globally oldest entry and its subject-index mirror."""
-        time, event = self._entries.popleft()
-        skey = self._subject_key(event)
-        if skey is None:
-            return
-        bucket = self._by_subject.get(skey)
-        # Additions go to _entries and the subject deque in lockstep and
-        # removals only ever take the oldest, so the mirror entry is the
-        # bucket's leftmost.
-        if bucket and bucket[0][1] is event:
-            bucket.popleft()
-            if not bucket:
-                del self._by_subject[skey]
-
     def _drop_head(self, skey: str, ekey: Any) -> None:
         bucket = self._heads.get(skey)
         if bucket is not None:
@@ -115,7 +96,7 @@ class TimeWindowBuffer:
     def evict(self, now: float) -> None:
         cutoff = now - self.window_s
         while self._entries and self._entries[0][0] < cutoff:
-            self._drop_oldest()
+            self._entries.popleft()
         if len(self._latest) > self._prune_at:
             self._latest = {
                 key: (t, e) for key, (t, e) in self._latest.items() if t >= cutoff
@@ -174,22 +155,17 @@ class TimeWindowBuffer:
     # -- subject-keyed lookups -----------------------------------------
     def subjects(self, now: float) -> set[str]:
         """Subject strings with at least one entry still in the buffer."""
-        self.evict(now)
-        return set(self._by_subject)
+        keys = {self._subject_key(event) for event in self.recent(now)}
+        keys.discard(None)
+        return keys
 
     def recent_for_subject(
         self, now: float, subject, limit: int | None = None
     ) -> list[Notification]:
-        """One subject's buffered entries, newest first, by keyed lookup.
-
-        Equivalent to filtering :meth:`recent` on ``str(subject)`` but in
-        O(hits) instead of O(window).
-        """
-        self.evict(now)
-        bucket = self._by_subject.get(str(subject))
-        if not bucket:
-            return []
-        events = [event for _, event in reversed(bucket)]
+        """One subject's buffered entries, newest first: :meth:`recent`
+        filtered on ``str(subject)``."""
+        skey = str(subject)
+        events = [e for e in self.recent(now) if self._subject_key(e) == skey]
         return events if limit is None else events[:limit]
 
     def heads_for_subjects(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.events.index import ScanStore
 from repro.simulation import Future, Simulator
 
 
@@ -60,3 +61,72 @@ def scanned_retract(table, neighbour, filter) -> None:
     table.withdraw(neighbour, filter)
     for source, stored in remaining:
         table._offer(neighbour, stored, table.paths[(source, stored)])
+
+
+class Shadow:
+    """A routing structure paired with its scan: every answer is checked.
+
+    Wraps an index or covering poset (``primary``) and keeps a
+    :class:`~repro.events.index.ScanStore` over the same filters beside it.
+    Each call the filter tables and the broker make is answered by both;
+    ids in answers are mapped into the primary's id space, so ``covering``
+    and ``covered_by`` must agree as ordered lists.  The first difference
+    raises ``AssertionError``; otherwise the primary's answer is returned.
+    ``checked`` counts the answers compared.
+    """
+
+    def __init__(self, primary) -> None:
+        self.primary = primary
+        self.scan = ScanStore()
+        self.checked = 0
+        self._scan_id: dict = {}
+        self._primary_id: dict = {}
+
+    def _same(self, query: str, arg, got, want):
+        assert got == want, f"{type(self.primary).__name__}.{query}({arg!r}): {got!r} != scan's {want!r}"
+        self.checked += 1
+        return got
+
+    @property
+    def ops(self) -> int:
+        return self.primary.ops
+
+    def __len__(self) -> int:
+        return self._same("__len__", None, len(self.primary), len(self.scan))
+
+    def add(self, filter, payload=None):
+        pid = self.primary.add(filter, payload=payload)
+        sid = self.scan.add(filter, payload)
+        self._scan_id[pid], self._primary_id[sid] = sid, pid
+        return pid
+
+    def remove(self, pid):
+        sid = self._scan_id.pop(pid)
+        del self._primary_id[sid]
+        return self._same("remove", pid, self.primary.remove(pid), self.scan.remove(sid))
+
+    def payload(self, pid):
+        want = self.scan.payload(self._scan_id[pid])
+        return self._same("payload", pid, self.primary.payload(pid), want)
+
+    def _ask(self, query: str, arg):
+        return self._same(query, arg, getattr(self.primary, query)(arg), getattr(self.scan, query)(arg))
+
+    def _ask_ids(self, query: str, filter) -> list:
+        want = [self._primary_id[sid] for sid in getattr(self.scan, query)(filter)]
+        return self._same(query, filter, getattr(self.primary, query)(filter), want)
+
+    def holders(self, notifications):
+        return self._ask("holders", notifications)
+
+    def covers_any(self, filter) -> bool:
+        return self._ask("covers_any", filter)
+
+    def intersecting_any(self, filter) -> bool:
+        return self._ask("intersecting_any", filter)
+
+    def covering(self, filter) -> list:
+        return self._ask_ids("covering", filter)
+
+    def covered_by(self, filter) -> list:
+        return self._ask_ids("covered_by", filter)

@@ -115,3 +115,33 @@ class TestEventProjection:
             wire_view.lat,
             wire_view.lon,
         )
+
+
+class TestProjectionRules:
+    """Event bindings follow §3's projection rules (xmlkit.projection)."""
+
+    def test_float_into_int_field_raises(self):
+        class Counted(EventProjection):
+            count: int
+
+        with pytest.raises(ProjectionError):
+            project_event(Counted, make_event("t", count=3.7))
+
+    def test_unreadable_value_binds_the_default(self):
+        class Reading(EventProjection):
+            value: float = -1.0
+
+        assert project_event(Reading, make_event("t", value="n/a")).value == -1.0
+
+    def test_yes_binds_true(self):
+        class Flag(EventProjection):
+            confirmed: bool
+
+        assert project_event(Flag, make_event("t", confirmed="yes")).confirmed is True
+        assert project_event(Flag, make_event("t", confirmed=" NO ")).confirmed is False
+
+    def test_keyword_construction_and_equality(self):
+        event = make_event("user-location", subject="bob", lat=1.0, lon=2.0)
+        built = LocationReading(subject="bob", lat=1.0, lon=2.0, accuracy_m=10.0)
+        assert project_event(LocationReading, event) == built
+        assert built != LocationReading(subject="eve", lat=1.0, lon=2.0, accuracy_m=10.0)

@@ -8,7 +8,10 @@ folds (``2``, ``2.0``), values it keeps apart (``True``, ``"2"``), two
 conflicting ``type`` equalities, ``type`` constrained without being
 pinned, and no ``type`` at all.  Under add/remove churn every query must
 give the single poset's answer — the three list queries in the same
-order, since ``covered_by`` order is re-forward order.
+order, since ``covered_by`` order is re-forward order.  The same churn
+is held to a ``ScanStore`` too, which answers each query by checking every
+stored filter with ``filter_covers`` / ``filters_intersect`` — the
+reference that does not share the poset's candidate pruning.
 
 Bounded in tier-1; ``--hypothesis-profile=nightly`` runs it long.
 """
@@ -17,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.events.filters import Constraint, Filter, Op
-from repro.events.index import CoveringPoset
+from repro.events.index import CoveringPoset, ScanStore
 from repro.events.sharding import ShardedCoveringPoset
 
 SUBJECTS = [2, 2.0, True, "2", 0, -0.0, False, "a"]
@@ -40,22 +43,33 @@ filters = st.lists(
     min_size=1,
     max_size=4,
 ).map(lambda cs: Filter(*cs))
-operations = st.lists(
-    st.one_of(st.tuples(st.just("add"), filters), st.tuples(st.just("remove"), st.integers(0, 63))),
-    min_size=1,
-    max_size=30,
-)
+
+
+def churn(drawn: st.SearchStrategy) -> st.SearchStrategy:
+    """Up to 30 adds of ``drawn`` filters and removes of a live entry."""
+    return st.lists(
+        st.one_of(st.tuples(st.just("add"), drawn), st.tuples(st.just("remove"), st.integers(0, 63))),
+        min_size=1,
+        max_size=30,
+    )
+
+
+operations = churn(filters)
+
+
+def scan_answers(store, probe: Filter) -> tuple:
+    """The four queries a ``ScanStore`` answers too."""
+    payload = store.payload
+    return (
+        store.covers_any(probe),
+        store.intersecting_any(probe),
+        [payload(rid) for rid in store.covering(probe)],
+        [payload(rid) for rid in store.covered_by(probe)],
+    )
 
 
 def answers(poset, probe: Filter) -> tuple:
-    payload = poset.payload
-    return (
-        poset.covers_any(probe),
-        poset.intersecting_any(probe),
-        [payload(rid) for rid in poset.covering(probe)],
-        [payload(rid) for rid in poset.covered_by(probe)],
-        [payload(rid) for rid in poset.intersecting(probe)],
-    )
+    return scan_answers(poset, probe) + ([poset.payload(rid) for rid in poset.intersecting(probe)],)
 
 
 @given(operations, st.lists(filters, min_size=1, max_size=4))
@@ -74,3 +88,45 @@ def test_every_query_agrees_with_one_poset_under_churn(ops, probes):
         # Stored filters as probes make covering hits likely.
         for probe in probes + [f for _pid, _rid, f in live[-2:]]:
             assert answers(parted, probe) == answers(one, probe), probe
+
+
+# Filters over one attribute make covering pairs common, so a pruning
+# mask that forgets an operator shows within the bounded run.
+one_name = st.lists(constraints("x"), min_size=1, max_size=2).map(lambda cs: Filter(*cs))
+scan_filters = st.one_of(filters, one_name, one_name)
+scan_operations = churn(scan_filters)
+
+
+@given(scan_operations, st.lists(scan_filters, min_size=1, max_size=4))
+def test_every_query_agrees_with_the_scan_under_churn(ops, probes):
+    scan, parted = ScanStore(), ShardedCoveringPoset()
+    live: list[tuple[int, int, Filter]] = []
+    for n, (kind, arg) in enumerate(ops):
+        if kind == "add":
+            live.append((scan.add(arg, payload=n), parted.add(arg, payload=n), arg))
+        elif live:
+            sid, rid, _f = live.pop(arg % len(live))
+            assert parted.remove(rid) == scan.remove(sid)
+        assert len(parted) == len(scan)
+        for probe in probes + [f for _sid, _rid, f in live[-2:]]:
+            assert scan_answers(parted, probe) == scan_answers(scan, probe), probe
+
+
+def test_every_one_constraint_pair_agrees_with_the_scan():
+    """Exhaustive where sampling is thin: one stored filter per operator
+    and value on one attribute, each probed for, so a pruning mask that
+    forgets one operator or value family shows in ``covering`` or
+    ``covered_by`` on every run.  A probe on another attribute intersects
+    the whole store without sharing a name with it."""
+    grid = [Filter(Constraint("x", Op.EXISTS))] + [
+        Filter(Constraint("x", op, value))
+        for op in Op
+        if op is not Op.EXISTS
+        for value in (PATTERNS if op in (Op.PREFIX, Op.SUFFIX, Op.CONTAINS) else VALUES)
+    ]
+    scan, parted = ScanStore(), ShardedCoveringPoset()
+    for n, filter in enumerate(grid):
+        scan.add(filter, payload=n)
+        parted.add(filter, payload=n)
+    for probe in grid + [Filter(Constraint("y", Op.EXISTS))]:
+        assert scan_answers(parted, probe) == scan_answers(scan, probe), probe

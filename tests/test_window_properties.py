@@ -101,7 +101,7 @@ class TestWindowProperties:
 mixed_streams = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
-        st.integers(0, 7),
+        st.integers(0, 8),
     ),
     min_size=1,
     max_size=80,
@@ -119,6 +119,8 @@ def mixed_event(kind: int, now: float):
         return make_event("ping", time=now, subject=0, area="zone")  # falsy
     if kind == 6:
         return make_event("ping", time=now, area="zone")  # no subject
+    if kind == 8:
+        return make_event("ping", time=now, subject="zone")  # kind 6's entity
     return make_event("ping", time=now)  # neither subject nor area
 
 
@@ -163,7 +165,7 @@ class TestSubjectIndexProperties:
         recent_distinct filtered to the subject set, in the same order."""
         buffer, now = replay_mixed(stream)
         all_subjects = {
-            "s0", "s1", "s2", "3", "0", "never-seen",
+            "s0", "s1", "s2", "3", "0", "zone", "never-seen",
         }
         for subset in (all_subjects, {"3"}, {"0", "s1"}, {"never-seen"}, set()):
             expected = [
