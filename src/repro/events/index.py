@@ -46,11 +46,13 @@ engine pins events to patterns through its own per-type buckets):
 * :class:`CoveringPoset` — the covering partial order.  ``a`` can only
   cover ``b`` when every attribute ``a`` constrains is also constrained
   by ``b`` (:func:`~repro.events.covering.constraint_covers` requires
-  equal names), so candidates are pruned with an attribute-name
-  inverted index — refined with per-name operator/family bitsets: a
-  stored ``[x > 5]`` can only be covered by an ``x`` constraint from
-  the numeric ``{>, >=, =}`` families, so probes lacking those never
-  reach the exact :func:`~repro.events.covering.filter_covers` check.
+  equal names) and every equality ``n = v`` of ``a`` is one of ``b``'s,
+  so candidates are pruned with an inverted index over names and
+  equality keys ``(name, family, value)`` — refined with per-name
+  operator/family bitsets: a stored ``[x > 5]`` can only cover an ``x``
+  constraint from the numeric ``{>, >=, =}`` families, so probes lacking
+  those never reach the exact
+  :func:`~repro.events.covering.filter_covers` check.
   Brokers hold it partitioned by subject, one part per subject
   (:class:`~repro.events.sharding.ShardedCoveringPoset`), like the index.
 
@@ -68,9 +70,9 @@ budget benchmark's ``city_edge`` prices the indexed, batched path absolutely).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import count
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 try:  # vectorised batch counting; every path has a pure-python fallback
     import numpy as _np
@@ -594,8 +596,8 @@ class PredicateIndex:
 # Covering-poset candidate pruning: operator/family bitsets
 # ----------------------------------------------------------------------
 # Each constraint op × value family gets one bit; EXISTS (valueless) gets
-# its own.  For a stored constraint ``ca``, _COVER_NEEDS[ca] is the set
-# of probe-constraint bits that could possibly cover it (derived from
+# its own.  For a stored constraint ``ca``, ``_cover_needs(ca)`` is the
+# set of probe-constraint bits ``ca`` could possibly cover (derived from
 # the constraint_covers truth table as a *necessary* condition) — a
 # candidate whose probe lacks every such bit on some constrained name
 # cannot cover, so the exact filter_covers check is skipped.
@@ -622,11 +624,11 @@ def _bit(op: Op, family: str) -> int:
 
 
 def _cover_needs(constraint: Constraint) -> int:
-    """Probe bits that could cover ``constraint`` (necessary condition).
+    """Bits of the constraints ``constraint`` could cover (necessary condition).
 
     Mirrors :func:`~repro.events.covering.constraint_covers`: e.g. a
-    numeric ``<`` is only ever covered by numeric ``<``/``<=``/``=``
-    constraints, a string range covers nothing, EXISTS covers anything.
+    numeric ``<`` covers only numeric ``<``/``<=``/``=`` constraints, a
+    string range covers nothing, EXISTS covers anything.
     """
     op = constraint.op
     if op is Op.EXISTS:
@@ -673,16 +675,39 @@ def _name_masks(filter: Filter) -> dict[str, int]:
     return masks
 
 
+def _keys(filter: Filter) -> dict[Hashable, None]:
+    """Every bucket an entry is filed under: each attribute name, and per
+    equality its key ``(name, family, value)``, in constraint order.
+
+    A stored ``n = v`` covers only a constraint ``n = v``
+    (:func:`~repro.events.covering.constraint_covers`), whose key is equal
+    as a dict key too — ``2`` and ``2.0`` share one, ``True`` and ``1`` do
+    not.  A NaN's key finds only the same NaN object, which it does not
+    cover either.
+    """
+    keys: dict[Hashable, None] = {}
+    for c in filter.constraints:
+        if c.op is Op.EQ:
+            keys[c.name, _family(c.value), c.value] = None
+        keys[c.name] = None
+    return keys
+
+
 class CoveringPoset:
     """The covering partial order over a dynamic set of filters.
 
-    Stored filters are indexed by attribute name; since ``a`` covering
-    ``b`` requires ``names(a) ⊆ names(b)``, covering queries touch only
-    filters passing that subset test — refined by per-name
-    operator/family bitsets (a stored numeric range can only be covered
-    by numeric range/equality constraints, etc.) — before the exact
-    :func:`filter_covers` verification; answers are identical to the
-    pairwise scan's.  Duplicate filters may be stored (e.g. the same
+    ``a`` covers ``b`` only if ``b`` holds every *key* of ``a``: each
+    attribute name, and each equality key ``(name, family, value)``.  So
+    every entry is filed under each of its keys (``covered_by`` starts
+    from the probe's smallest bucket), and once more under its *home*:
+    whichever of its keys had the smallest bucket when it was added.  A
+    ``covers_any`` / ``covering`` probe walks only the homes of its own
+    keys, so ``[type = suggestion, user = bob]`` never meets the stored
+    ``[.., user = alice]``.  Candidates are refined by per-name
+    operator/family bitsets (a stored numeric range covers only numeric
+    range/equality constraints, etc.) before the exact
+    :func:`filter_covers` verification decides; answers are identical to
+    the pairwise scan's.  Duplicate filters may be stored (e.g. the same
     subscription from two sources); each entry keeps its own id and
     optional payload.  Query results are in insertion (id) order; ids come
     from one counter every poset shares, so the parts of a partitioned
@@ -694,8 +719,10 @@ class CoveringPoset:
     def __init__(self) -> None:
         self._filters: dict[int, Filter] = {}
         self._payloads: dict[int, Any] = {}
-        self._name_counts: dict[int, int] = {}
-        self._by_name: dict[str, set[int]] = {}
+        # Buckets are dicts used as ordered sets: they iterate in id
+        # order, and at most sizes take less memory than a set.
+        self._members: defaultdict[Hashable, dict[int, None]] = defaultdict(dict)  # key -> every id holding it
+        self._homes: defaultdict[Hashable, dict[int, None]] = defaultdict(dict)  # key -> ids homed there
         # Per-entry pruning state: the (name, needed-bits) requirements a
         # probe must meet to possibly cover the entry, and the entry's
         # own per-name presence masks (the mirror-direction test).  Both
@@ -711,12 +738,15 @@ class CoveringPoset:
 
     def add(self, filter: Filter, payload: Any = None) -> int:
         pid = next(self._ids)
-        names = filter.attribute_names()
         self._filters[pid] = filter
         self._payloads[pid] = payload
-        self._name_counts[pid] = len(names)
-        for name in names:
-            self._by_name.setdefault(name, set()).add(pid)
+        home, smallest = None, 0
+        for key in _keys(filter):
+            bucket = self._members[key]
+            bucket[pid] = None
+            if home is None or len(bucket) < smallest:
+                home, smallest = key, len(bucket)
+        self._homes[home][pid] = None
         shape = tuple((c.name, c.op, _family(c.value)) for c in filter.constraints)
         pruning = self._shapes.get(shape)
         if pruning is None:
@@ -731,13 +761,14 @@ class CoveringPoset:
 
     def remove(self, pid: int) -> Any:
         filter = self._filters.pop(pid)
-        del self._name_counts[pid]
         del self._pruning[pid]
-        for name in filter.attribute_names():
-            members = self._by_name[name]
-            members.discard(pid)
-            if not members:
-                del self._by_name[name]
+        for key in _keys(filter):
+            for index in (self._members, self._homes):
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.pop(pid, None)
+                    if not bucket:
+                        del index[key]
         return self._payloads.pop(pid)
 
     def payload(self, pid: int) -> Any:
@@ -747,43 +778,26 @@ class CoveringPoset:
         return self._filters[pid]
 
     # -- candidate pruning ---------------------------------------------
-    def _subset_candidates(self, names: set[str]) -> list[int]:
-        """Stored ids whose attribute names ⊆ ``names`` (could cover), unsorted.
+    def _cover_candidates(self, filter: Filter) -> list[int]:
+        """Stored ids that could cover ``filter``, unsorted: those homed
+        under one of its keys whose every constraint sees a compatible
+        probe bit (a name the probe lacks sees none).
 
         Callers that promise insertion order sort the result; covers_any
         only needs existence and skips the sort on the hot forward path.
         """
-        hits: dict[int, int] = {}
-        get = hits.get
-        for name in names:
-            for pid in self._by_name.get(name, ()):
-                hits[pid] = get(pid, 0) + 1
-        name_counts = self._name_counts
-        return [pid for pid, n in hits.items() if n == name_counts[pid]]
-
-    def _cover_candidates(self, filter: Filter) -> list[int]:
-        """Stored ids that could cover ``filter``: name-subset candidates
-        whose every constraint sees a compatible-operator probe bit."""
         probe_masks = _name_masks(filter)
         pruning = self._pruning
+        homes = self._homes
         out = []
-        for pid in self._subset_candidates(set(probe_masks)):
-            for name, needed in pruning[pid][0]:
-                if not probe_masks[name] & needed:
-                    break
-            else:
-                out.append(pid)
+        for key in _keys(filter):
+            for pid in homes.get(key, ()):
+                for name, needed in pruning[pid][0]:
+                    if not probe_masks.get(name, 0) & needed:
+                        break
+                else:
+                    out.append(pid)
         return out
-
-    def _superset_candidates(self, names: set[str]) -> list[int]:
-        """Stored ids whose attribute names ⊇ ``names`` (could be covered)."""
-        need = len(names)
-        hits: dict[int, int] = {}
-        get = hits.get
-        for name in names:
-            for pid in self._by_name.get(name, ()):
-                hits[pid] = get(pid, 0) + 1
-        return sorted(pid for pid, n in hits.items() if n == need)
 
     # -- queries --------------------------------------------------------
     def covers_any(self, filter: Filter) -> bool:
@@ -810,23 +824,24 @@ class CoveringPoset:
 
         This is the "what was this removed filter masking?" query: only
         filters the removed one covers can have been suppressed by it.
+        Those hold every key of it, so the walk starts from its smallest
+        bucket.
         """
         filters = self._filters
         probe_reqs = [(c.name, _cover_needs(c)) for c in filter.constraints]
         pruning = self._pruning
+        members = self._members
+        start = min((members.get(key, ()) for key in _keys(filter)), key=len)
         out = []
-        for pid in self._superset_candidates(filter.attribute_names()):
+        for pid in start:
             stored_masks = pruning[pid][1]
-            ok = True
             for name, needed in probe_reqs:
                 if not stored_masks.get(name, 0) & needed:
-                    ok = False
                     break
-            if not ok:
-                continue
-            self.checks += 1
-            if filter_covers(filter, filters[pid]):
-                out.append(pid)
+            else:
+                self.checks += 1
+                if filter_covers(filter, filters[pid]):
+                    out.append(pid)
         return out
 
     # -- intersection ---------------------------------------------------
@@ -841,7 +856,7 @@ class CoveringPoset:
         """Stored ids constraining at least one of ``names``."""
         shared: set[int] = set()
         for name in names:
-            shared |= self._by_name.get(name, set())
+            shared.update(self._members.get(name, ()))
         return shared
 
     def intersecting_any(self, filter: Filter) -> bool:

@@ -7,6 +7,7 @@ a bounded span or until a condition holds.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from repro.events.index import ScanStore
@@ -72,19 +73,23 @@ class Shadow:
     ids in answers are mapped into the primary's id space, so ``covering``
     and ``covered_by`` must agree as ordered lists.  The first difference
     raises ``AssertionError``; otherwise the primary's answer is returned.
-    ``checked`` counts the answers compared.
+    ``asked`` counts the answers compared per query, ``checked`` in all.
     """
 
     def __init__(self, primary) -> None:
         self.primary = primary
         self.scan = ScanStore()
-        self.checked = 0
+        self.asked: Counter = Counter()
         self._scan_id: dict = {}
         self._primary_id: dict = {}
 
+    @property
+    def checked(self) -> int:
+        return sum(self.asked.values())
+
     def _same(self, query: str, arg, got, want):
         assert got == want, f"{type(self.primary).__name__}.{query}({arg!r}): {got!r} != scan's {want!r}"
-        self.checked += 1
+        self.asked[query] += 1
         return got
 
     @property

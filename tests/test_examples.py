@@ -50,3 +50,11 @@ class TestExamples:
         out = run_example("pipelines_demo", capsys)
         assert "pipeline 'gps-feed' deployed" in out
         assert "filtered at the edge" in out
+
+
+def test_every_example_has_a_test():
+    """The tests above are the only place CI runs the examples, so an
+    example without one here would run nowhere."""
+    tested = {name.removeprefix("test_") for name in vars(TestExamples) if name.startswith("test_")}
+    examples = {path.stem for path in EXAMPLES_DIR.glob("*.py")}
+    assert examples and examples <= tested, sorted(examples - tested)

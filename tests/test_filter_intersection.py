@@ -336,7 +336,7 @@ class TestPrefixRangeExactness:
 
 
 class TestOperatorFamilyMaskPruning:
-    """``_subset_candidates``/``_cover_candidates`` pruning by per-name
+    """``_cover_candidates`` / ``covered_by`` pruning by per-name
     operator-family bitsets: populations whose constraints cannot be
     satisfied by the probe's operator family are excluded *before* any
     exact ``filter_covers`` check runs."""

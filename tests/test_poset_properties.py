@@ -19,12 +19,16 @@ Bounded in tier-1; ``--hypothesis-profile=nightly`` runs it long.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.events.filters import Constraint, Filter, Op
+from repro.events.filters import Constraint, Filter, Op, eq, exists, gt
 from repro.events.index import CoveringPoset, ScanStore
 from repro.events.sharding import ShardedCoveringPoset
 
 SUBJECTS = [2, 2.0, True, "2", 0, -0.0, False, "a"]
-VALUES = SUBJECTS + [1, 2.5, "ab", "b"]
+# Where dict-key equality and covering equality could part: a NaN is one
+# dict key by identity yet equals nothing, no float equals 10**400, and
+# 2**53 + 1 is the first int its float neighbour rounds onto.
+AWKWARD = [float("nan"), 10**400, 2**53 + 1, float(2**53)]
+VALUES = SUBJECTS + [1, 2.5, "ab", "b"] + AWKWARD
 PATTERNS = ["", "2", "a", "ab"]
 
 
@@ -93,7 +97,17 @@ def test_every_query_agrees_with_one_poset_under_churn(ops, probes):
 # Filters over one attribute make covering pairs common, so a pruning
 # mask that forgets an operator shows within the bounded run.
 one_name = st.lists(constraints("x"), min_size=1, max_size=2).map(lambda cs: Filter(*cs))
-scan_filters = st.one_of(filters, one_name, one_name)
+# The agent shape ``[type = t, user = u]``: equalities on two non-type
+# attributes drawn from one pool, so equal keys under different names
+# and different keys under one name both occur, maybe beside a pin.
+keyed = st.builds(
+    lambda pin, x, y, more: Filter(*pin, Constraint("x", Op.EQ, x), Constraint("y", Op.EQ, y), *more),
+    st.lists(pins, max_size=1),
+    st.sampled_from(VALUES),
+    st.sampled_from(VALUES),
+    st.lists(st.one_of(constraints("x"), constraints("y")), max_size=1),
+)
+scan_filters = st.one_of(filters, one_name, one_name, keyed, keyed)
 scan_operations = churn(scan_filters)
 
 
@@ -130,3 +144,33 @@ def test_every_one_constraint_pair_agrees_with_the_scan():
         parted.add(filter, payload=n)
     for probe in grid + [Filter(Constraint("y", Op.EXISTS))]:
         assert scan_answers(parted, probe) == scan_answers(scan, probe), probe
+
+
+def test_a_probe_meets_only_the_entries_holding_its_keys():
+    """The equality keys prune before ``filter_covers`` runs, so they are
+    held to counts of exact checks as well as to exact answers: one
+    user's agent filter meets that user's entry (and the first entry
+    filed, homed under the then-empty subject key), not the other 39;
+    ``1`` and ``1.0`` share a key that ``True``, ``"1"`` and ``2**53 + 1``
+    (beside ``float(2**53)``) do not; and neither an entry naming an
+    attribute the probe lacks nor one lacking an attribute the probe
+    names is checked against it."""
+    poset = CoveringPoset()
+    agents = [Filter(eq("type", "suggestion"), eq("user", f"u{i}")) for i in range(40)]
+    ids = [poset.add(agent) for agent in agents]
+    ones = [poset.add(Filter(eq("x", v))) for v in (True, 1, 1.0, "1", 2**53 + 1)]
+    for _ in range(3):
+        poset.add(Filter(gt("z", 0)))
+    poset.add(Filter(eq("x", 2**53 + 1), gt("z", 0)))  # homed beside ones[4]
+
+    def checked(query: str, probe: Filter, want: list) -> int:
+        before = poset.checks
+        assert getattr(poset, query)(probe) == want
+        return poset.checks - before
+
+    assert checked("covering", agents[7], [ids[7]]) == 2
+    assert checked("covered_by", agents[7], [ids[7]]) == 1
+    assert checked("covering", Filter(eq("x", 1)), ones[1:3]) == 2
+    assert checked("covering", Filter(eq("x", float(2**53))), []) == 0
+    assert checked("covering", Filter(eq("x", 2**53 + 1)), [ones[4]]) == 1
+    assert checked("covered_by", Filter(eq("x", 1), exists("z")), []) == 0
