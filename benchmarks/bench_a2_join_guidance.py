@@ -134,9 +134,12 @@ def test_a2_kb_guided_join_ablation(benchmark):
         unguided = by_key[(False, True, strangers)]
         naive = by_key[(True, False, strangers)]
         indexed = by_key[(True, True, strangers)]
-        # Guided joins always find the pair and do strictly less work.
+        # Guided joins always find the pair and do no more work.  Work is
+        # window entries scanned: checks run as soon as their reads are
+        # bound, so the unguided engine prunes strangers before the leaf
+        # and its candidate (leaf) joins no longer measure its enumeration.
         assert naive["found"] and indexed["found"]
-        assert naive["candidate_joins"] <= unguided["candidate_joins"]
+        assert naive["window_scanned"] <= unguided["window_scanned"]
         # The window mode changes the work done, not the joins explored.
         assert indexed["candidate_joins"] == naive["candidate_joins"]
         assert indexed["found"] == naive["found"]

@@ -10,7 +10,7 @@ matching code for unknown event types from the storage architecture.
 
 from repro.matching.bindings import EventProjection, project_event, projects_event
 from repro.matching.patterns import Bindings, EventPattern, FactPattern, Ref
-from repro.matching.rules import Rule, RuleContext
+from repro.matching.rules import Rule, RuleContext, reads
 from repro.matching.window import TimeWindowBuffer
 from repro.matching.engine import MatchingEngine
 from repro.matching.matchlet import Matchlet, default_rule_registry
@@ -32,4 +32,5 @@ __all__ = [
     "matchlet_code_guid",
     "project_event",
     "projects_event",
+    "reads",
 ]

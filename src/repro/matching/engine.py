@@ -12,10 +12,11 @@ stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.events.model import Notification
 from repro.knowledge.base import KnowledgeBase
-from repro.matching.patterns import Bindings, Ref, resolve_operand
+from repro.matching.patterns import Bindings, FactPattern, Ref, resolve_operand
 from repro.matching.rules import Rule, RuleContext
 from repro.matching.window import TimeWindowBuffer
 from repro.simulation import Simulator
@@ -73,6 +74,7 @@ class MatchingEngine:
         self._buffers: dict[str, dict[str, TimeWindowBuffer]] = {}
         self._patterns_by_type: dict[str, list[tuple[str, object]]] = {}
         self._last_fired: dict[tuple, float] = {}
+        self._plans: dict[str, dict[str, _Plan]] = {}
         self.stats = EngineStats()
         for rule in rules:
             self.add_rule(rule)
@@ -98,6 +100,7 @@ class MatchingEngine:
             return False
         rule = self.rules.pop(name)
         del self._buffers[name]
+        self._plans.pop(name, None)
         for event_type in {pattern.event_type for pattern in rule.events}:
             kept = [
                 entry for entry in self._patterns_by_type[event_type]
@@ -141,33 +144,15 @@ class MatchingEngine:
                 if hit_aliases:
                     rule_hits.append((rule, hit_aliases))
         for rule, hit_aliases in rule_hits:
+            if self.rules.get(rule.name) is not rule:
+                continue  # an earlier action removed it
             buffers = self._buffers[rule.name]
             for alias in hit_aliases:
                 buffers[alias].add(now, event)
             for alias in hit_aliases:
-                if not self._vetoed(rule, alias, event, now):
-                    out.extend(self._join(rule, alias, event, now))
+                out.extend(self._join(rule, alias, event, now))
         self.stats.synthesized += len(out)
         return out
-
-    def _vetoed(self, rule: Rule, alias: str, pinned: Notification, now: float) -> bool:
-        """Whether a leading fact pattern fails every join pinned at ``pinned``.
-
-        A required pattern over a pinned-event attribute with a literal (or
-        no) object reads nothing the enumeration binds: it answers alike for
-        every join, so one in the leading run with no valid fact fails them
-        all, each before any guard runs.
-        """
-        for pattern in rule.facts:
-            subject, expected = pattern.subject, pattern.object
-            if not (pattern.required and isinstance(subject, Ref) and subject.alias == alias
-                    and not isinstance(expected, Ref) and not callable(expected)):
-                return False
-            facts = self._fact_matches(pattern, {alias: pinned}, now)
-            if not facts:
-                # None: an operand will not resolve, a guard error each join counts.
-                return facts is not None
-        return False
 
     def ingest_batch(self, events: list) -> list[Notification]:
         """Process a burst of events; returns all synthesised events.
@@ -192,68 +177,110 @@ class MatchingEngine:
     ) -> list[Notification]:
         """Join ``pinned`` (fixed at its pattern) against the other windows.
 
-        Enumeration is knowledge-guided: when a fact pattern links two
-        event aliases by subject — ``FactPattern(subject=Ref("a","subject"),
-        predicate="knows", object=Ref("b","subject"))`` — the candidate
-        pool for the yet-unbound side is restricted to the subjects the
-        knowledge base actually relates.  In a flood of strangers' events
-        this collapses the cross product to the handful of combinations
-        that could possibly match (§1.1's "extracting the correlated set
-        ... from the huge number of items available").
+        Enumeration binds ``pinned`` at level 0 and one other pattern per
+        level after it.  It is knowledge-guided: when a fact pattern links
+        two event aliases by subject — ``FactPattern(subject=Ref("a",
+        "subject"), predicate="knows", object=Ref("b","subject"))`` — the
+        candidate pool for the yet-unbound side is restricted to the
+        subjects the knowledge base actually relates.  In a flood of
+        strangers' events this collapses the cross product to the handful
+        of combinations that could possibly match (§1.1's "extracting the
+        correlated set ... from the huge number of items available").
+
+        Each fact and guard runs at the shallowest level where all it reads
+        is bound, on that level's copy of the bindings (so what it binds or
+        stashes vanishes on backtrack); one that fails prunes every
+        combination below.  One that raises above the leaf prunes nothing:
+        the checks left wait for the leaf, as they would without push-down.
+        Only leaves spend the combination budget.
         """
-        other_patterns = [p for p in rule.events if p.alias != pinned_alias]
-        per_pool_limit = max(
-            4, int(rule.max_combinations ** (1 / max(1, len(other_patterns))))
-        )
+        if self.rules.get(rule.name) is not rule:
+            return []  # an action removed the rule earlier in this ingest
         out: list[Notification] = []
-        budget = [rule.max_combinations]
-        self._enumerate(
-            rule,
-            other_patterns,
-            0,
-            {pinned_alias: pinned},
-            now,
-            per_pool_limit,
-            budget,
-            out,
-        )
+        ctx = RuleContext(now=now, kb=self.kb, extras=self.extras)
+        self._descend(rule, self._plan(rule, pinned_alias), 0, {pinned_alias: pinned}, ctx,
+                      [rule.max_combinations], out, None)
         return out
 
-    def _enumerate(
-        self,
-        rule: Rule,
-        patterns: list,
-        index: int,
-        bound: Bindings,
-        now: float,
-        per_pool_limit: int,
-        budget: list,
-        out: list,
-    ) -> None:
+    def _plan(self, rule: Rule, pinned_alias: str) -> _Plan:
+        """``rule``'s checks and KB links per level, cached per pinned alias."""
+        plans = self._plans.setdefault(rule.name, {})
+        if pinned_alias not in plans:
+            patterns = tuple(p for p in rule.events if p.alias != pinned_alias)
+            order = [pinned_alias] + [p.alias for p in patterns]
+            checks = (*rule.facts, *rule.guards)
+            at = self._place(rule, order)
+            plans[pinned_alias] = _Plan(
+                patterns,
+                max(4, int(rule.max_combinations ** (1 / max(1, len(patterns))))),
+                tuple(tuple(c for c, k in zip(checks, at) if k == depth) for depth in range(len(order))),
+                tuple(tuple(c for c, k in zip(checks, at) if k >= depth) for depth in range(len(order))),
+                tuple(_links(rule, order[:depth], target) for depth, target in enumerate(order)),
+            )
+        return plans[pinned_alias]
+
+    def _place(self, rule: Rule, order: list) -> list[int]:
+        """The level of each fact, then each guard, in rule order: where the
+        last alias it reads is bound.  An undeclared guard, a fact with a
+        callable operand or one reading an alias no earlier check binds run at the leaf."""
+        leaf = len(order) - 1
+        level = {alias: depth for depth, alias in enumerate(order)}
+        at = []
+        for fact in rule.facts:
+            operands = (fact.subject, fact.object)
+            refs = {op.alias for op in operands if isinstance(op, Ref)}
+            if any(callable(op) for op in operands) or not refs <= level.keys():
+                level[fact.alias] = leaf
+            else:
+                level[fact.alias] = max((level[alias] for alias in refs), default=0)
+            at.append(level[fact.alias])
+        for guard in rule.guards:
+            declared = getattr(guard, "declared_reads", None)
+            at.append(leaf if declared is None else max((level[a] for a in declared), default=0))
+        return at
+
+    def _descend(self, rule: Rule, plan: _Plan, depth: int, bound: Bindings, ctx: RuleContext,
+                 budget: list, out: list, deferred: tuple | None) -> None:
+        """Check level ``depth``'s bindings, then bind the next level.  ``deferred`` is None
+        until a check raises above the leaf; then it holds every check left, for the leaf."""
         if budget[0] <= 0:
             return
-        if index == len(patterns):
+        leaf = depth == len(plan.patterns)
+        if leaf:
             budget[0] -= 1
             self.stats.candidate_joins += 1
-            fired = self._evaluate(rule, dict(bound), now)
-            if fired:
-                out.extend(fired)
+        checks = plan.checks[depth] if deferred is None else (deferred if leaf else ())
+        bindings = dict(bound) if checks or leaf else bound
+        passed = self._check(checks, bindings, ctx, leaf)
+        if passed is False:
             return
-        pattern = patterns[index]
-        allowed = self._linked_subjects(rule, bound, pattern.alias, now)
+        if passed is None:
+            deferred, bindings = plan.fallback[depth], bound
+        if leaf:
+            self._fire(rule, bindings, ctx, budget, out)
+            return
+        pattern = plan.patterns[depth]
+        # The subjects the KB allows here; None when no fact links this alias to a bound one.
+        allowed: frozenset | None = None
+        if self.kb_guided_joins:
+            for direction, anchor_alias, predicate in plan.links[depth + 1]:
+                anchor = bindings[anchor_alias].get("subject")
+                if anchor is not None:
+                    values = self._kb_linked(direction, str(anchor), predicate, ctx.now)
+                    allowed = values if allowed is None else allowed & values
         if allowed is not None and not allowed:
             return  # the knowledge base relates nobody: no combination can match
         buffer = self._buffers[rule.name][pattern.alias]
         if allowed is None:
             # No KB restriction: a budgeted sample of per-entity heads.
-            pool = buffer.recent_distinct(now, limit=per_pool_limit)
+            pool = buffer.recent_distinct(ctx.now, limit=plan.pool_limit)
             self.stats.window_scanned += len(pool)
         elif self.indexed_windows:
             # Keyed lookups: O(|allowed|) instead of O(window) per level.
-            pool = buffer.heads_for_subjects(now, allowed)
+            pool = buffer.heads_for_subjects(ctx.now, allowed)
             self.stats.window_scanned += len(pool)
         else:
-            heads = buffer.recent_distinct(now, limit=None)
+            heads = buffer.recent_distinct(ctx.now, limit=None)
             self.stats.window_scanned += len(heads)
             pool = [
                 event
@@ -264,44 +291,46 @@ class MatchingEngine:
         for event in pool:
             if budget[0] <= 0:
                 return
-            bound[pattern.alias] = event
-            self._enumerate(
-                rule, patterns, index + 1, bound, now, per_pool_limit, budget, out
-            )
-            del bound[pattern.alias]
+            bindings[pattern.alias] = event
+            self._descend(rule, plan, depth + 1, bindings, ctx, budget, out, deferred)
+            del bindings[pattern.alias]
 
-    def _linked_subjects(
-        self, rule: Rule, bound: Bindings, target_alias: str, now: float
-    ) -> set | None:
-        """Subjects the KB allows for ``target_alias`` given current bindings.
-
-        Returns None when no fact pattern links the target to an already
-        bound alias (no restriction applies).
-        """
-        if not self.kb_guided_joins:
-            return None
-        allowed: frozenset | set | None = None
-        for fact in rule.facts:
-            s_ref = fact.subject if isinstance(fact.subject, Ref) else None
-            o_ref = fact.object if isinstance(fact.object, Ref) else None
-            if s_ref is None or o_ref is None:
-                continue
-            if s_ref.attr != "subject" or o_ref.attr != "subject":
-                continue
-            if s_ref.alias in bound and o_ref.alias == target_alias:
-                anchor = bound[s_ref.alias].get("subject")
-                if anchor is None:
-                    continue
-                values = self._kb_linked("fwd", str(anchor), fact.predicate, now)
-            elif o_ref.alias in bound and s_ref.alias == target_alias:
-                anchor = bound[o_ref.alias].get("subject")
-                if anchor is None:
-                    continue
-                values = self._kb_linked("rev", str(anchor), fact.predicate, now)
+    def _check(self, checks: tuple, bindings: Bindings, ctx: RuleContext, at_leaf: bool) -> bool | None:
+        """Run ``checks`` in order: True if all pass, False at the first
+        that fails.  One that raises is a counted guard error (False) at
+        the leaf, and None above it."""
+        for check in checks:
+            if isinstance(check, FactPattern):
+                passed = self._bind_fact(check, bindings, ctx.now)
             else:
-                continue
-            allowed = values if allowed is None else allowed & values
-        return allowed
+                try:
+                    passed = bool(check(bindings, ctx))
+                except Exception:
+                    passed = None
+            if passed is None and at_leaf:
+                self.stats.guard_errors += 1
+                return False
+            if not passed:
+                return passed
+        return True
+
+    def _fire(self, rule: Rule, bindings: Bindings, ctx: RuleContext, budget: list, out: list) -> None:
+        key_fn = rule.correlation_key
+        key = key_fn(bindings) if key_fn is not None else rule.default_key(bindings)
+        if rule.cooldown_s > 0.0:
+            last = self._last_fired.get((rule.name, key))
+            if last is not None and ctx.now - last < rule.cooldown_s:
+                self.stats.suppressed_by_cooldown += 1
+                return
+        self._last_fired[(rule.name, key)] = ctx.now
+        self.stats.matches += 1
+        result = rule.action(bindings, ctx)
+        if self.rules.get(rule.name) is not rule:
+            budget[0] = 0  # the action removed its own rule: the join ends
+        if isinstance(result, Notification):
+            out.append(result)
+        elif result is not None:
+            out.extend(result)
 
     def _kb_linked(
         self, direction: str, anchor: str, predicate: str, now: float
@@ -331,52 +360,9 @@ class MatchingEngine:
             self.stats.kb_link_queries += 1
         return linked
 
-    def _evaluate(
-        self, rule: Rule, bindings: Bindings, now: float
-    ) -> list[Notification] | None:
-        ctx = RuleContext(now=now, kb=self.kb, extras=self.extras)
-        if not self._resolve_facts(rule, bindings, now):
-            return None
-        for guard in rule.guards:
-            try:
-                if not guard(bindings, ctx):
-                    return None
-            except Exception:
-                self.stats.guard_errors += 1
-                return None
-        key_fn = rule.correlation_key
-        key = key_fn(bindings) if key_fn is not None else rule.default_key(bindings)
-        if rule.cooldown_s > 0.0:
-            last = self._last_fired.get((rule.name, key))
-            if last is not None and now - last < rule.cooldown_s:
-                self.stats.suppressed_by_cooldown += 1
-                return None
-        self._last_fired[(rule.name, key)] = now
-        self.stats.matches += 1
-        result = rule.action(bindings, ctx)
-        if result is None:
-            return []
-        if isinstance(result, Notification):
-            return [result]
-        return list(result)
-
-    def _resolve_facts(self, rule: Rule, bindings: Bindings, now: float) -> bool:
-        for pattern in rule.facts:
-            facts = self._fact_matches(pattern, bindings, now)
-            if facts is None:
-                self.stats.guard_errors += 1
-                return False
-            if facts:
-                bindings[pattern.alias] = facts[0].object
-            elif pattern.required:
-                return False
-            else:
-                bindings[pattern.alias] = pattern.default
-        return True
-
-    def _fact_matches(self, pattern, bindings: Bindings, now: float) -> list | None:
-        """Facts satisfying ``pattern`` under ``bindings`` at ``now``; None
-        when an operand does not resolve against the bindings."""
+    def _bind_fact(self, pattern: FactPattern, bindings: Bindings, now: float) -> bool | None:
+        """Bind the first fact satisfying ``pattern`` (or its default); False when a required
+        one has none, None when an operand does not resolve against the bindings."""
         try:
             subject = resolve_operand(pattern.subject, bindings)
             expected = resolve_operand(pattern.object, bindings) if pattern.object is not None else None
@@ -394,4 +380,34 @@ class MatchingEngine:
                 facts = [f for f in facts if str(f.object) == expected_key]
             else:
                 facts = [f for f in facts if f.object == expected]
-        return facts
+        if facts:
+            bindings[pattern.alias] = facts[0].object
+        elif pattern.required:
+            return False
+        else:
+            bindings[pattern.alias] = pattern.default
+        return True
+
+
+class _Plan(NamedTuple):
+    """How a rule joins at one pinned alias, level by level."""
+
+    patterns: tuple  # the other event patterns, bound at levels 1, 2, ...
+    pool_limit: int  # per-entity heads sampled where no KB link restricts a level
+    checks: tuple  # per level: the facts and guards that run there
+    fallback: tuple  # per level: its checks and every deeper one's, in rule order
+    links: tuple  # per level: (direction, anchor alias, predicate) KB links to it
+
+
+def _links(rule: Rule, bound: list, target: str) -> tuple:
+    """The subject links from an alias in ``bound`` to ``target``."""
+    links = []
+    for fact in rule.facts:
+        s_ref, o_ref = fact.subject, fact.object
+        if not (isinstance(s_ref, Ref) and isinstance(o_ref, Ref) and s_ref.attr == o_ref.attr == "subject"):
+            continue
+        if s_ref.alias in bound and o_ref.alias == target:
+            links.append(("fwd", s_ref.alias, fact.predicate))
+        elif o_ref.alias in bound and s_ref.alias == target:
+            links.append(("rev", o_ref.alias, fact.predicate))
+    return tuple(links)

@@ -23,6 +23,20 @@ Action = Callable[[Bindings, RuleContext], Any]  # Notification | list | None
 KeyFn = Callable[[Bindings], Hashable]
 
 
+def reads(*aliases: str) -> Callable[[Guard], Guard]:
+    """Declare the aliases, event or fact, a guard reads: ``@reads("loc_a", "nationality_a")``.
+
+    The engine runs a declared guard as soon as they are bound, so one that
+    fails prunes every combination below; an undeclared guard runs last.
+    """
+
+    def declare(guard: Guard) -> Guard:
+        guard.declared_reads = aliases
+        return guard
+
+    return declare
+
+
 @dataclass(frozen=True)
 class Rule:
     """One correlation rule of the matching engine.
@@ -33,6 +47,10 @@ class Rule:
     suppresses repeat firings with the same correlation key (by default the
     set of event subjects), so a continuous sensor stream yields one
     suggestion, not one per reading.
+
+    Facts, then guards, are checked in rule order, except that each runs as
+    soon as what it reads is bound (:func:`reads`).  Beyond those aliases a
+    guard may read only the stash of an earlier guard that reads no others.
     """
 
     name: str
@@ -66,6 +84,10 @@ class Rule:
         for pattern in self.facts:
             if not isinstance(pattern, FactPattern):
                 raise TypeError(f"not a FactPattern: {pattern!r}")
+        for guard in self.guards:
+            unknown = set(getattr(guard, "declared_reads", ())) - set(aliases)
+            if unknown:
+                raise ValueError(f"rule {self.name!r}: a guard reads unknown {sorted(unknown)}")
 
     def default_key(self, bindings: Bindings) -> Hashable:
         """Correlation key when none is supplied: the sorted event subjects."""

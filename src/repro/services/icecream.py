@@ -13,7 +13,7 @@ from repro.events.filters import Filter, type_is
 from repro.events.model import make_event
 from repro.gis.geometry import travel_time_s
 from repro.matching.patterns import EventPattern, FactPattern, Ref
-from repro.matching.rules import Rule, RuleContext
+from repro.matching.rules import Rule, RuleContext, reads
 from repro.net.geo import Position
 from repro.sensors.city import City
 from repro.services.infrastructure import ContextualService
@@ -69,9 +69,11 @@ class IceCreamMeetupService(ContextualService):
     def build_rules(self, extras: dict) -> list[Rule]:
         city = self.city
 
+        @reads("loc_a", "loc_b")
         def distinct_people(bindings, ctx: RuleContext) -> bool:
             return bindings["loc_a"]["subject"] != bindings["loc_b"]["subject"]
 
+        @reads("weather", "loc_a", "loc_b")
         def weather_is_local(bindings, ctx: RuleContext) -> bool:
             """The reading must come from near the pair, not another city."""
             weather_pos = _position(bindings["weather"])
@@ -80,12 +82,14 @@ class IceCreamMeetupService(ContextualService):
                 and weather_pos.distance_km(_position(bindings["loc_b"])) < 25.0
             )
 
+        @reads("weather", "nationality_a")
         def hot_for_a(bindings, ctx: RuleContext) -> bool:
             nationality = str(bindings.get("nationality_a") or "")
             return float(bindings["weather"]["temperature_c"]) >= hot_threshold_for(
                 nationality
             )
 
+        @reads("loc_a")
         def a_has_spare_time(bindings, ctx: RuleContext) -> bool:
             """'Bob likes ice cream ... when he has spare time to eat it.'"""
             subject = str(bindings["loc_a"]["subject"])
@@ -93,26 +97,30 @@ class IceCreamMeetupService(ContextualService):
                 subject, "free-time", True, at_time=ctx.now
             )
 
+        @reads("loc_a")
         def shop_reachable(bindings, ctx: RuleContext) -> bool:
-            """An open shop both can reach before it closes; stash it."""
+            """A's nearest shop, open and reachable by A before it closes; stash it."""
             pos_a = _position(bindings["loc_a"])
-            pos_b = _position(bindings["loc_b"])
             hit = city.nearest_place(pos_a, kind="ice-cream-shop")
             if hit is None:
                 return False
             _, shop = hit
             if not shop.is_open_at(ctx.now):
                 return False
-            mode_a = str(bindings["loc_a"].get("mode", "foot"))
-            mode_b = str(bindings["loc_b"].get("mode", "foot"))
-            t_a = travel_time_s(pos_a, shop.position, mode_a)
-            t_b = travel_time_s(pos_b, shop.position, mode_b)
-            slack = shop.hours.seconds_until_close(ctx.now) - ARRIVAL_BUFFER_S
-            if max(t_a, t_b) > min(self.max_travel_s, slack):
+            limit = min(self.max_travel_s, shop.hours.seconds_until_close(ctx.now) - ARRIVAL_BUFFER_S)
+            t_a = travel_time_s(pos_a, shop.position, str(bindings["loc_a"].get("mode", "foot")))
+            if t_a > limit:
                 return False
-            bindings["shop"] = shop
-            bindings["arrival_s"] = max(t_a, t_b)
+            bindings["shop"], bindings["limit_s"], bindings["arrival_s"] = shop, limit, t_a
             return True
+
+        @reads("loc_a", "loc_b")
+        def b_reaches_shop(bindings, ctx: RuleContext) -> bool:
+            """B reaches A's shop in time too; the later arrival sets the meeting."""
+            loc_b = bindings["loc_b"]
+            t_b = travel_time_s(_position(loc_b), bindings["shop"].position, str(loc_b.get("mode", "foot")))
+            bindings["arrival_s"] = max(bindings["arrival_s"], t_b)
+            return t_b <= bindings["limit_s"]
 
         def suggest(bindings, ctx: RuleContext):
             shop = bindings["shop"]
@@ -169,6 +177,7 @@ class IceCreamMeetupService(ContextualService):
                 hot_for_a,
                 a_has_spare_time,
                 shop_reachable,
+                b_reaches_shop,
             ),
             action=suggest,
             cooldown_s=1800.0,

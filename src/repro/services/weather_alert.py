@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.events.filters import Filter, type_is
 from repro.events.model import make_event
 from repro.matching.patterns import EventPattern, FactPattern, Ref
-from repro.matching.rules import Rule, RuleContext
+from repro.matching.rules import Rule, RuleContext, reads
 from repro.net.geo import Position
 from repro.services.infrastructure import ContextualService
 
@@ -36,6 +36,7 @@ class WeatherAlertService(ContextualService):
     def build_rules(self, extras: dict) -> list[Rule]:
         locality_km = self.locality_km
 
+        @reads("weather", "loc")
         def colocated(bindings, ctx: RuleContext) -> bool:
             weather = bindings["weather"]
             location = bindings["loc"]
@@ -46,6 +47,7 @@ class WeatherAlertService(ContextualService):
                 <= locality_km
             )
 
+        @reads("weather", "threshold")
         def above_threshold(bindings, ctx: RuleContext) -> bool:
             return float(bindings["weather"]["temperature_c"]) >= float(
                 bindings["threshold"]

@@ -64,6 +64,16 @@ def scanned_retract(table, neighbour, filter) -> None:
         table._offer(neighbour, stored, table.paths[(source, stored)])
 
 
+def leaf_only_placement(rule, order) -> list:
+    """The seed's join plan: the reference for ``MatchingEngine._place``.
+
+    Every fact pattern and guard runs at the leaf, once every alias in
+    ``order`` is bound, in rule order: facts, then guards.  Patched in
+    with ``monkeypatch``, an engine must synthesise the same.
+    """
+    return [len(order) - 1] * (len(rule.facts) + len(rule.guards))
+
+
 class Shadow:
     """A routing structure paired with its scan: every answer is checked.
 

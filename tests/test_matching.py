@@ -302,6 +302,44 @@ class TestMatchingEngine:
         assert engine.remove_rule("pair")
         assert not engine.remove_rule("pair")
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_an_action_may_remove_a_later_rule_mid_ingest(self, indexed):
+        sim = Simulator()
+        engine = MatchingEngine(sim, KnowledgeBase(), indexed=indexed)
+
+        def remove_second(bindings, ctx):
+            engine.remove_rule("second")
+            return make_event("first-hit", time=ctx.now)
+
+        for name, action in (("first", remove_second), ("second", suggestion_action)):
+            engine.add_rule(Rule(name=name, events=(EventPattern("a", "alpha"),),
+                                 window_s=60.0, action=action))
+        out = engine.ingest(make_event("alpha", subject="bob"))
+        assert [e.event_type for e in out] == ["first-hit"]
+        assert list(engine.rules) == ["first"]
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_an_action_removing_its_own_rule_ends_the_join(self, indexed):
+        sim = Simulator()
+        engine = MatchingEngine(sim, KnowledgeBase(), indexed=indexed)
+        fired = []
+
+        def once(bindings, ctx):
+            fired.append(bindings["b"]["subject"])
+            engine.remove_rule("once")
+
+        engine.add_rule(Rule(
+            name="once",
+            events=(EventPattern("a", "alpha"), EventPattern("b", "beta"),
+                    EventPattern("c", "gamma")),
+            window_s=60.0,
+            action=once,
+        ))
+        for kind, subject in (("beta", "b1"), ("beta", "b2"), ("gamma", "c1")):
+            engine.ingest(make_event(kind, subject=subject))
+        assert engine.ingest(make_event("alpha", subject="a1")) == []
+        assert len(fired) == 1 and "once" not in engine.rules
+
     def test_known_event_types(self):
         sim = Simulator()
         engine = MatchingEngine(sim, KnowledgeBase(), [two_pattern_rule()])

@@ -1,16 +1,17 @@
-"""Skipping a pin that a leading fact pattern vetoes changes no outcome.
+"""Skipping a pin that a fact pattern vetoes changes no outcome.
 
-``MatchingEngine.ingest`` does not enumerate the joins pinned at an event
-when a leading, required fact pattern about that event's own attribute,
-with a literal (or no) object, has no valid fact at the event's instant:
-every such join would fail at that pattern.  Here a seeded stream runs
-through the two services' rules plus synthetic rules built to stop the
-leading run early — an optional leading pattern, a callable subject or
-object, events missing the attribute a pattern reads — while facts become valid
-and expire mid-stream.  The engine must synthesise exactly what an engine
-that never skips does, with every counter equal except the joins and
-window entries it no longer enumerates (and the link lookups those made),
-and must enumerate strictly fewer joins.
+``MatchingEngine`` runs each fact pattern and guard at the shallowest
+join level where what it reads is bound, so a required fact pattern about
+the pinned event's own attribute, with a literal (or no) object, runs at
+level 0: when it has no valid fact at the event's instant, no join pinned
+there is enumerated.  Here a seeded stream runs through the two services'
+rules plus synthetic rules built to trip that up — an optional leading
+pattern, a callable subject or object, events missing the attribute a
+pattern reads — while facts become valid and expire mid-stream.  The
+engine must synthesise exactly what an engine running every check at the
+leaf does (``tests/helpers.leaf_only_placement``), with every counter
+equal except the joins and window entries it no longer enumerates (and
+the link lookups those made), and must enumerate strictly fewer joins.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from repro.matching import EventPattern, FactPattern, MatchingEngine, Ref, Rule
 from repro.sensors.city import make_st_andrews
 from repro.services import IceCreamMeetupService, WeatherAlertService
 from repro.simulation import Simulator
+from tests.helpers import leaf_only_placement
 
 START_S = 13 * 3600.0
 PEOPLE = [f"p{i}" for i in range(10)]
@@ -147,7 +149,7 @@ def engines(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_skipping_vetoed_pins_changes_no_outcome(seed, monkeypatch):
     sim, (engine, reference) = engines(seed)
-    monkeypatch.setattr(reference, "_vetoed", lambda *args: False)
+    monkeypatch.setattr(reference, "_place", leaf_only_placement)
     produced = []
     for t, event in stream(random.Random(f"stream:{seed}")):
         sim.run(until=t)
