@@ -38,7 +38,6 @@ class Op(enum.Enum):
     EXISTS = "exists"
 
 
-_NUMERIC_OPS = {Op.LT, Op.LE, Op.GT, Op.GE}
 _STRING_OPS = {Op.PREFIX, Op.SUFFIX, Op.CONTAINS}
 _ORDER_CMP = {Op.EQ: operator.eq, Op.NE: operator.ne, Op.LT: operator.lt,
               Op.LE: operator.le, Op.GT: operator.gt, Op.GE: operator.ge}
@@ -50,7 +49,7 @@ def _compile(name: str, op: Op, value: Any) -> Callable[[Any], bool]:
     The operator dispatch, family check, and value comparison are
     resolved once here instead of re-branching on every ``matches``
     call; the closure is exactly equivalent to the interpreted
-    :meth:`Constraint._matches_interpreted` (a property test pins this
+    ``tests/helpers.py::interpreted_matches`` (a property test pins this
     over every operator family).  Missing attributes come back as
     ``None`` from ``get``, which no family admits.
     """
@@ -87,7 +86,8 @@ class Constraint:
 
     ``matches`` dispatches through a closure compiled at construction
     (see :func:`_compile`); the per-call interpretation it replaces is
-    kept as :meth:`_matches_interpreted` for the agreement tests.
+    kept as ``tests/helpers.py::interpreted_matches`` for the agreement
+    tests.
     """
 
     name: str
@@ -129,35 +129,6 @@ class Constraint:
 
     def matches(self, notification: Notification) -> bool:
         return self.check(notification)
-
-    def _matches_interpreted(self, notification: Notification) -> bool:
-        """Per-call interpreted matching; the reference for ``check``."""
-        if self.name not in notification:
-            return False
-        actual = notification[self.name]
-        if self.op is Op.EXISTS:
-            return True
-        if self.op in _STRING_OPS:
-            if not isinstance(actual, str):
-                return False
-            if self.op is Op.PREFIX:
-                return actual.startswith(self.value)
-            if self.op is Op.SUFFIX:
-                return actual.endswith(self.value)
-            return self.value in actual
-        if not _comparable(actual, self.value):
-            return False
-        if self.op is Op.EQ:
-            return actual == self.value
-        if self.op is Op.NE:
-            return actual != self.value
-        if self.op is Op.LT:
-            return actual < self.value
-        if self.op is Op.LE:
-            return actual <= self.value
-        if self.op is Op.GT:
-            return actual > self.value
-        return actual >= self.value  # GE
 
     def __repr__(self) -> str:
         if self.op is Op.EXISTS:

@@ -140,6 +140,21 @@ class ShardPlan:
         """
         return self._locate(_hash64(f"client:{client!r}"))
 
+    def serve(self, path: str, shard_ids: tuple) -> None:
+        """Run one worker process: host ``shard_ids``' endpoints, dial the
+        hub at ``path`` and serve until it hangs up."""
+        import asyncio
+
+        from repro.net.transport import serve_worker  # net.serialization imports this module
+
+        shard_addrs = {sid: f"shard-{sid}" for sid in range(self.n_shards)}
+
+        def build(send: SendFn) -> dict[Address, Callable]:
+            endpoints = [ShardEndpoint(sid, self, shard_addrs[sid], send, shard_addrs) for sid in shard_ids]
+            return {endpoint.addr: endpoint.handle for endpoint in endpoints}
+
+        asyncio.run(serve_worker(path, build))
+
 
 # Below this many filters a partition is swept event by event, not by
 # ``match_batch``.  Measured on band filters (docs/evidence/PR-22.md):
@@ -333,11 +348,6 @@ class Attach:
 
 
 @dataclass(slots=True)
-class Detach:
-    client: Address
-
-
-@dataclass(slots=True)
 class Deliver:
     """Matching shard -> home shard: notifications grouped per client.
 
@@ -384,8 +394,6 @@ class ShardEndpoint:
             self._handle_routed(payload.source, payload.message)
         elif isinstance(payload, Attach):
             self.local_clients.add(payload.client)
-        elif isinstance(payload, Detach):
-            self.local_clients.discard(payload.client)
         elif isinstance(payload, Deliver):
             for client, notifications in payload.items:
                 if client in self.local_clients:
@@ -466,11 +474,6 @@ class ShardRouter:
         self.clients.add(client)
         home = self.plan.home(client)
         self._send(self.addr, self.shard_addrs[home], Attach(client))
-
-    def detach_client(self, client: Address) -> None:
-        self.clients.discard(client)
-        home = self.plan.home(client)
-        self._send(self.addr, self.shard_addrs[home], Detach(client))
 
     def _fan_control(self, source: Address, message: Any, filter: Filter) -> None:
         target = self.plan.shard_of_filter(filter)

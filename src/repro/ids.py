@@ -17,7 +17,6 @@ GUID_BITS = 128
 GUID_DIGITS = 32  # base-16 digits
 DIGIT_BASE = 16
 _GUID_SPACE = 1 << GUID_BITS
-_HALF_SPACE = _GUID_SPACE >> 1
 
 
 class Guid:
@@ -75,10 +74,6 @@ class Guid:
     def clockwise_distance(self, other: "Guid") -> int:
         """Distance travelling clockwise (increasing ids) from self to other."""
         return (other.value - self.value) % _GUID_SPACE
-
-    def numeric_distance(self, other: "Guid") -> int:
-        """Plain absolute difference, as used by Pastry's leaf set choice."""
-        return abs(self.value - other.value)
 
     # -- comparisons / hashing ---------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -12,8 +12,10 @@ stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
+from repro.events.filters import Filter
 from repro.events.model import Notification
 from repro.knowledge.base import KnowledgeBase
 from repro.matching.patterns import Bindings, FactPattern, Ref, resolve_operand
@@ -58,12 +60,13 @@ class MatchingEngine:
         # Ablation switch (benchmark A2): without KB guidance the join
         # enumerates raw per-entity pools under the combination budget.
         self.kb_guided_joins = kb_guided_joins
-        # Event→pattern pinning (the engine's own ``_patterns_by_type``
-        # buckets, not ``PredicateIndex``): patterns are filed under their
+        # Event→pattern pinning (the engine's own ``_patterns`` buckets,
+        # not ``PredicateIndex``): patterns are filed under their
         # (exact-match) event type, so an arriving event touches only the
-        # rules that could possibly pin it.
-        # ``indexed=False`` restores the seed's every-rule scan.
+        # rules that could possibly pin it.  ``indexed=False`` files every
+        # pattern under one key, ``None``: the seed's every-rule scan.
         self.indexed = indexed
+        self._file_key = attrgetter("event_type") if indexed else lambda item: None
         # Ablation switch (benchmarks A2/E9): with ``indexed_windows`` a
         # KB-guided enumeration level does keyed per-subject lookups into
         # the window buffer; ``False`` restores the materialize-the-whole-
@@ -72,8 +75,9 @@ class MatchingEngine:
         self.indexed_windows = indexed_windows
         self.rules: dict[str, Rule] = {}
         self._buffers: dict[str, dict[str, TimeWindowBuffer]] = {}
-        self._patterns_by_type: dict[str, list[tuple[str, object]]] = {}
-        self._last_fired: dict[tuple, float] = {}
+        # Per key, (rule name, alias, test) in rule-registration order.
+        self._patterns: dict[str | None, list[tuple[str, str, Callable]]] = {}
+        self._last_fired: dict[str, dict] = {}  # per rule: correlation key -> time
         self._plans: dict[str, dict[str, _Plan]] = {}
         self.stats = EngineStats()
         for rule in rules:
@@ -90,9 +94,14 @@ class MatchingEngine:
             )
             for pattern in rule.events
         }
+        self._last_fired[rule.name] = {}
         for pattern in rule.events:
-            self._patterns_by_type.setdefault(pattern.event_type, []).append(
-                (rule.name, pattern)
+            if not self.indexed:
+                test = pattern.matches
+            else:  # its type's bucket has decided the type: the test is the constraints
+                test = Filter(*pattern.constraints).matches if pattern.constraints else lambda event: True
+            self._patterns.setdefault(self._file_key(pattern), []).append(
+                (rule.name, pattern.alias, test)
             )
 
     def remove_rule(self, name: str) -> bool:
@@ -100,25 +109,13 @@ class MatchingEngine:
             return False
         rule = self.rules.pop(name)
         del self._buffers[name]
+        del self._last_fired[name]
         self._plans.pop(name, None)
-        for event_type in {pattern.event_type for pattern in rule.events}:
-            kept = [
-                entry for entry in self._patterns_by_type[event_type]
-                if entry[0] != name
-            ]
+        for key in {self._file_key(pattern) for pattern in rule.events}:
+            kept = [entry for entry in self._patterns.pop(key) if entry[0] != name]
             if kept:
-                self._patterns_by_type[event_type] = kept
-            else:
-                del self._patterns_by_type[event_type]
+                self._patterns[key] = kept
         return True
-
-    @property
-    def known_event_types(self) -> set[str]:
-        return {
-            pattern.event_type
-            for rule in self.rules.values()
-            for pattern in rule.events
-        }
 
     # ------------------------------------------------------------------
     def ingest(self, event: Notification) -> list[Notification]:
@@ -126,23 +123,13 @@ class MatchingEngine:
         self.stats.events_in += 1
         now = self.sim.now
         out: list[Notification] = []
-        if self.indexed:
-            # The per-type bucket lists patterns in rule-registration order,
-            # so iterating the hits directly preserves the rule order of the
-            # naive scan while touching only the rules the event pins.
-            hits_by_rule: dict[str, list[str]] = {}
-            for rule_name, pattern in self._patterns_by_type.get(event.event_type, ()):
-                if all(c.matches(event) for c in pattern.constraints):
-                    hits_by_rule.setdefault(rule_name, []).append(pattern.alias)
-            rule_hits = [
-                (self.rules[name], aliases) for name, aliases in hits_by_rule.items()
-            ]
-        else:
-            rule_hits = []
-            for rule in list(self.rules.values()):
-                hit_aliases = [p.alias for p in rule.events if p.matches(event)]
-                if hit_aliases:
-                    rule_hits.append((rule, hit_aliases))
+        # The bucket lists patterns in rule-registration order, so the hits
+        # come in rule order whichever way the patterns are filed.
+        hits_by_rule: dict[str, list[str]] = {}
+        for rule_name, alias, test in self._patterns.get(self._file_key(event), ()):
+            if test(event):
+                hits_by_rule.setdefault(rule_name, []).append(alias)
+        rule_hits = [(self.rules[name], aliases) for name, aliases in hits_by_rule.items()]
         for rule, hit_aliases in rule_hits:
             if self.rules.get(rule.name) is not rule:
                 continue  # an earlier action removed it
@@ -315,14 +302,15 @@ class MatchingEngine:
         return True
 
     def _fire(self, rule: Rule, bindings: Bindings, ctx: RuleContext, budget: list, out: list) -> None:
-        key_fn = rule.correlation_key
-        key = key_fn(bindings) if key_fn is not None else rule.default_key(bindings)
         if rule.cooldown_s > 0.0:
-            last = self._last_fired.get((rule.name, key))
+            key_fn = rule.correlation_key
+            key = key_fn(bindings) if key_fn is not None else rule.default_key(bindings)
+            fired = self._last_fired[rule.name]
+            last = fired.get(key)
             if last is not None and ctx.now - last < rule.cooldown_s:
                 self.stats.suppressed_by_cooldown += 1
                 return
-        self._last_fired[(rule.name, key)] = ctx.now
+            fired[key] = ctx.now
         self.stats.matches += 1
         result = rule.action(bindings, ctx)
         if self.rules.get(rule.name) is not rule:

@@ -192,9 +192,6 @@ class Network:
         """Revive a failed link; traffic (and heartbeats) flow again."""
         self._failed_links.discard(frozenset((a, b)))
 
-    def link_failed(self, a: Address, b: Address) -> bool:
-        return frozenset((a, b)) in self._failed_links
-
     def fail_region(self, region: Region) -> None:
         """Correlated failure: drop every message touching ``region``.
 

@@ -40,7 +40,7 @@ from repro.events.wire import (
 )
 from repro.events.filters import Constraint, Filter, Op
 from repro.events.model import Notification
-from repro.events.sharding import Attach, Deliver, Detach, Routed
+from repro.events.sharding import Attach, Deliver, Routed
 
 _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # a malformed prefix must not OOM us
@@ -147,7 +147,6 @@ _ENCODERS: dict[type, Callable[[Any, Callable], dict]] = {
     NotifyBatch: lambda m, ref: {"t": "ntfb", "ns": list(map(ref, m.notifications))},
     Routed: lambda m, ref: {"t": "routed", "src": m.source, "m": _encode(m.message, ref)},
     Attach: lambda m, ref: {"t": "attach", "c": m.client},
-    Detach: lambda m, ref: {"t": "detach", "c": m.client},
     Deliver: lambda m, ref: {"t": "dlv", "items": [[c, list(map(ref, ns))] for c, ns in m.items]},
     Hello: lambda m, ref: {"t": "hello", "addrs": list(m.addrs)},
 }
@@ -163,7 +162,6 @@ _DECODERS: dict[str, Callable[[dict, list], Any]] = {
     "ntfb": lambda obj, t: NotifyBatch(tuple([_row(t, n) for n in obj["ns"]])),
     "routed": lambda obj, t: Routed(obj["src"], _decode(obj["m"], t)),
     "attach": lambda obj, t: Attach(obj["c"]),
-    "detach": lambda obj, t: Detach(obj["c"]),
     "dlv": lambda obj, t: Deliver(tuple([(c, tuple([_row(t, n) for n in ns])) for c, ns in obj["items"]])),
     "hello": lambda obj, t: Hello(tuple(obj["addrs"])),
 }

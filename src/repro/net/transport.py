@@ -240,27 +240,10 @@ async def serve_worker(
         await node.stop()
 
 
-def _shard_worker_main(path: str, n_shards: int, shard_ids: tuple) -> None:
-    """Entry point of one shard worker process (picklable scalars only)."""
-    from repro.events.sharding import ShardEndpoint, ShardPlan
-
-    plan = ShardPlan(n_shards)
-    shard_addrs = {sid: f"shard-{sid}" for sid in range(n_shards)}
-
-    def build(send: Callable) -> Dict[Address, Handler]:
-        endpoints = {}
-        for sid in shard_ids:
-            endpoint = ShardEndpoint(sid, plan, shard_addrs[sid], send, shard_addrs)
-            endpoints[endpoint.addr] = endpoint.handle
-        return endpoints
-
-    asyncio.run(serve_worker(path, build))
-
-
 def spawn_shard_workers(
     path: str, plan, groups: list[tuple]
 ) -> list[multiprocessing.Process]:
-    """Fork one OS process per shard group, each serving its endpoints.
+    """Fork one OS process per shard group, each running ``plan.serve``.
 
     ``groups`` is a list of shard-id tuples, one per process.  Workers
     retry the hub connection, so they may be spawned before the hub
@@ -272,8 +255,8 @@ def spawn_shard_workers(
     processes = []
     for shard_ids in groups:
         process = context.Process(
-            target=_shard_worker_main,
-            args=(path, plan.n_shards, tuple(shard_ids)),
+            target=plan.serve,
+            args=(path, tuple(shard_ids)),
             daemon=True,
         )
         process.start()

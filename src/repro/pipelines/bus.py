@@ -36,7 +36,3 @@ class EventBus(PipelineComponent):
         # Plain downstream connections receive everything, like subscribers
         # with no filter.
         return event
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)

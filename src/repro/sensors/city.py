@@ -26,9 +26,6 @@ class City:
         self.place_index.insert(place.position, place)
         return place
 
-    def places_of_kind(self, kind: str) -> list[Place]:
-        return [p for p in self.places if p.kind == kind]
-
     def nearest_place(
         self, pos: Position, kind: str | None = None, max_radius_km: float = 10.0
     ) -> tuple[float, Place] | None:

@@ -70,11 +70,5 @@ class Population:
                 person.position, self.step_interval_s, self._rng
             )
 
-    def all_profile_facts(self) -> list[Fact]:
-        facts: list[Fact] = []
-        for person in self.people.values():
-            facts.extend(person.profile_facts())
-        return facts
-
     def stop(self) -> None:
         self._task.stop()

@@ -157,11 +157,6 @@ class Simulator:
         """Run for ``duration`` seconds of virtual time."""
         return self.run(until=self._now + duration, max_events=max_events)
 
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled (possibly cancelled) events still queued."""
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # Deterministic named random streams
     # ------------------------------------------------------------------

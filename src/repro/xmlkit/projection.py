@@ -149,15 +149,6 @@ def project(cls: type, element: XmlElement):
     return instance
 
 
-def projects(cls: type, element: XmlElement) -> bool:
-    """Does ``element`` bind to ``cls``?  (Non-raising convenience.)"""
-    try:
-        project(cls, element)
-        return True
-    except ProjectionError:
-        return False
-
-
 def find_islands(cls: type, root: XmlElement) -> list:
     """All descendants of ``root`` (inclusive) that bind to ``cls``.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
+from repro.events.filters import Op, _comparable
 from repro.events.index import ScanStore
 from repro.simulation import Future, Simulator
 
@@ -72,6 +73,41 @@ def leaf_only_placement(rule, order) -> list:
     with ``monkeypatch``, an engine must synthesise the same.
     """
     return [len(order) - 1] * (len(rule.facts) + len(rule.guards))
+
+
+def interpreted_matches(constraint, notification) -> bool:
+    """Per-call interpreted matching: the reference for ``Constraint.check``.
+
+    The seed's evaluator, branching on the operator at every call; the
+    compiled closure must agree with it on every notification.
+    """
+    name, op, value = constraint.name, constraint.op, constraint.value
+    if name not in notification:
+        return False
+    actual = notification[name]
+    if op is Op.EXISTS:
+        return True
+    if op in (Op.PREFIX, Op.SUFFIX, Op.CONTAINS):
+        if not isinstance(actual, str):
+            return False
+        if op is Op.PREFIX:
+            return actual.startswith(value)
+        if op is Op.SUFFIX:
+            return actual.endswith(value)
+        return value in actual
+    if not _comparable(actual, value):
+        return False
+    if op is Op.EQ:
+        return actual == value
+    if op is Op.NE:
+        return actual != value
+    if op is Op.LT:
+        return actual < value
+    if op is Op.LE:
+        return actual <= value
+    if op is Op.GT:
+        return actual > value
+    return actual >= value  # GE
 
 
 class Shadow:

@@ -2,11 +2,11 @@
 
 ``Constraint.__post_init__`` compiles each (name, op, value) triple into
 a fused closure at construction time; ``Constraint.matches`` is now one
-indirect call.  The original interpreted evaluator is retained as
-``_matches_interpreted`` precisely so these tests can hold the two
-implementations against each other over every operator family and the
-type-coercion corners (bool is not int, int vs float ordering, missing
-attributes, cross-family values).
+indirect call.  The original interpreted evaluator lives on as
+``tests.helpers.interpreted_matches`` precisely so these tests can hold
+the two implementations against each other over every operator family
+and the type-coercion corners (bool is not int, int vs float ordering,
+missing attributes, cross-family values).
 """
 
 import copy
@@ -31,6 +31,7 @@ from repro.events.filters import (
     suffix,
 )
 from repro.events.model import Notification
+from tests.helpers import interpreted_matches
 from tests.test_index_equivalence import (
     ATTRS,
     STRINGS,
@@ -47,7 +48,7 @@ class TestCompiledInterpretedAgreement:
         notifications = [random_notification(rng) for _ in range(300)]
         for c in constraints:
             for n in notifications:
-                assert c.matches(n) == c._matches_interpreted(n), (c, dict(n))
+                assert c.matches(n) == interpreted_matches(c, n), (c, dict(n))
 
     def test_adversarial_values_per_operator(self):
         """Hand-built cross-family probes: every operator meets every
@@ -75,7 +76,7 @@ class TestCompiledInterpretedAgreement:
                     else Constraint("a", op, anchor)
                 )
                 for n in probes:
-                    assert c.matches(n) == c._matches_interpreted(n), (
+                    assert c.matches(n) == interpreted_matches(c, n), (
                         op, anchor, dict(n),
                     )
 

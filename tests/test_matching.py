@@ -1,5 +1,7 @@
 """Tests for the matching engine: patterns, windows, rules, discovery."""
 
+import random
+
 import pytest
 
 from repro.events.filters import eq, gt
@@ -340,10 +342,101 @@ class TestMatchingEngine:
         assert engine.ingest(make_event("alpha", subject="a1")) == []
         assert len(fired) == 1 and "once" not in engine.rules
 
-    def test_known_event_types(self):
+    def test_a_removed_rules_cooldowns_go_with_it(self):
         sim = Simulator()
-        engine = MatchingEngine(sim, KnowledgeBase(), [two_pattern_rule()])
-        assert engine.known_event_types == {"alpha", "beta"}
+        engine = MatchingEngine(sim, KnowledgeBase())
+
+        def fresh():
+            return Rule(name="r", events=(EventPattern("a", "alpha"),), window_s=10.0,
+                        action=suggestion_action, cooldown_s=100.0)
+
+        engine.add_rule(fresh())
+        assert len(engine.ingest(make_event("alpha", subject="bob"))) == 1
+        engine.remove_rule("r")
+        engine.add_rule(fresh())
+        sim.run_for(5.0)
+        assert len(engine.ingest(make_event("alpha", subject="bob"))) == 1
+        assert engine.stats.suppressed_by_cooldown == 0
+
+    def test_a_rule_without_a_cooldown_records_no_firings(self):
+        sim = Simulator()
+        rule = Rule(name="free", events=(EventPattern("a", "alpha"),), window_s=10.0,
+                    action=suggestion_action)
+        engine = MatchingEngine(sim, KnowledgeBase(), [rule])
+        for n in range(1000):
+            engine.ingest(make_event("alpha", subject=f"user-{n}"))
+        assert engine.stats.matches == 1000
+        assert engine._last_fired == {"free": {}}  # one empty book: nothing to suppress
+
+
+CHURN_TYPES = ("alpha", "beta", "gamma")
+
+
+def churn_rule(engine, index: int, removed_later: list) -> Rule:
+    """Rule ``r<index>`` of the churn test's six: one pattern or a join,
+    with or without constraints and a cooldown.  ``r3``'s action removes
+    ``r4``, noting in ``removed_later`` each time ``r4`` came after it."""
+
+    def emit(bindings, ctx):
+        subjects = sorted(str(bindings[p.alias]["subject"]) for p in events)
+        return make_event("hit", time=ctx.now, rule=f"r{index}", subjects=",".join(subjects))
+
+    def emit_and_remove_r4(bindings, ctx):
+        order = list(engine.rules)
+        if engine.remove_rule("r4") and order.index("r4") > order.index("r3"):
+            removed_later.append(ctx.now)
+        return emit(bindings, ctx)
+
+    events, cooldown_s, action = {
+        0: ((EventPattern("a", "alpha"),), 0.0, emit),
+        1: ((EventPattern("a", "alpha", (gt("level", 1),)), EventPattern("b", "beta")), 0.0, emit),
+        2: ((EventPattern("a", "beta", (eq("level", 2),)),), 20.0, emit),
+        3: ((EventPattern("a", "gamma"), EventPattern("b", "alpha")), 0.0, emit_and_remove_r4),
+        4: ((EventPattern("a", "alpha", (gt("level", 0),)),), 10.0, emit),
+        5: ((EventPattern("x", "gamma"), EventPattern("y", "gamma", (gt("level", 1),))), 0.0, emit),
+    }[index]
+    return Rule(name=f"r{index}", events=events, window_s=10.0, action=action,
+                cooldown_s=cooldown_s)
+
+
+def run_churn(indexed: bool, seed: int) -> tuple:
+    """Seeded rule churn between events: the outputs, the stats, how many
+    rules were added again under a name used before, and how many actions
+    removed a later rule mid-ingest."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    engine = MatchingEngine(sim, KnowledgeBase(), indexed=indexed)
+    removed_later: list = []
+    used: set[str] = set()
+    re_added = 0
+    outputs = []
+    for _ in range(400):
+        roll, name = rng.random(), f"r{rng.randrange(6)}"
+        if roll < 0.15:
+            if name not in engine.rules:
+                re_added += name in used
+                used.add(name)
+                engine.add_rule(churn_rule(engine, int(name[1:]), removed_later))
+        elif roll < 0.25:
+            engine.remove_rule(name)
+        else:
+            event = make_event(rng.choice(CHURN_TYPES), subject=f"s{rng.randrange(4)}",
+                               level=rng.randrange(4))
+            outputs.append([dict(e) for e in engine.ingest(event)])
+        sim.run_for(rng.choice((0.0, 0.5, 2.0)))
+    return outputs, engine.stats, re_added, len(removed_later)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rule_churn_pins_the_same_in_both_modes(seed):
+    """Adding and removing rules between events, adding a name again and
+    removing a later rule from an action: the one-bucket scan and the
+    per-type buckets give the same outputs, in the same order, and the
+    same stats."""
+    outputs, stats, re_added, removed_later = run_churn(True, seed)
+    assert (outputs, stats) == run_churn(False, seed)[:2]
+    assert sum(map(len, outputs)) > 50 and stats.suppressed_by_cooldown > 0
+    assert re_added > 0 and removed_later > 0
 
 
 class TestMatchlet:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.events.filters import Filter, eq, exists, gt, prefix, type_is
 from repro.events.model import Notification, make_event
-from repro.events.sharding import Attach, Deliver, Detach, Routed
+from repro.events.sharding import Attach, Deliver, Routed
 from repro.events.wire import (
     Advertise,
     MoveOut,
@@ -63,7 +63,6 @@ SAMPLES = [
     Routed("c2", Subscribe(BAND, ("b1", "b2"), True)),
     Routed("c3", Publish(BARE, None)),
     Attach("c1"),
-    Detach("c1"),
     Deliver((("c1", (EVENT, BARE)), ("c2", ()))),
     Deliver(()),
     Hello(("shard-0", "shard-1")),
@@ -86,7 +85,7 @@ def test_encode_then_decode_is_identity(message):
 def test_every_wire_type_has_a_sample():
     assert {type(m) for m in SAMPLES} == {
         Subscribe, Unsubscribe, Advertise, Unadvertise, Publish, PublishBatch,
-        Notify, NotifyBatch, Routed, Attach, Detach, Deliver, Hello,
+        Notify, NotifyBatch, Routed, Attach, Deliver, Hello,
     }
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift check: the architecture/benchmark docs must track the code.
 
-Four invariants, each cheap to check from file contents alone:
+Five invariants, each cheap to check from file contents alone:
 
 1. Every routing mode accepted by ``BrokerNode`` (the ``ROUTING_MODES``
    tuple, whichever module under ``src/repro/events/`` holds it) and
@@ -16,6 +16,10 @@ Four invariants, each cheap to check from file contents alone:
    layer of ``LAYERS``, type-only imports included, except the
    ``UPWARD_IMPORTS`` allowed today — a list that may only shrink, so
    an entry whose import is gone is reported too.
+5. Everything ``src/`` defines has a reader: every function, method,
+   class and module-level name is named somewhere besides its own
+   definition, in ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
+   ``tools/`` (see :func:`unread_definitions`).
 
 Run from the repo root: ``python tools/check_docs.py``.  Exits 1 and
 lists every problem, so adding a benchmark or a routing mode without
@@ -33,6 +37,7 @@ import ast
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +49,6 @@ LAYERS = ("simulation", "net", "overlay", "events", "evolution")
 UPWARD_IMPORTS = {
     "repro/simulation/transport.py": {"net"},
     "repro/net/serialization.py": {"events"},
-    "repro/net/transport.py": {"events"},
     "repro/events/broker.py": {"evolution"},  # under TYPE_CHECKING
 }
 
@@ -103,6 +107,58 @@ def upward_imports() -> list[str]:
         for target in sorted(allowed - seen.get(module, set())):
             problems.append(f"{module} no longer imports {target}: drop it from UPWARD_IMPORTS")
     return problems
+
+
+# Decorators that register nothing: a definition under any other one (a
+# registry's ``@register_component``, a guard's ``@reads``) is reached
+# through the decorator, so it is never reported unread.
+PLAIN_DECORATORS = {"dataclass", "property", "classmethod", "staticmethod", "setter"}
+READER_DIRS = ("src", "tests", "benchmarks", "examples", "tools")
+
+
+def unread_definitions() -> list[str]:
+    """Definitions in ``src/repro/`` that nothing else names.
+
+    A definition is a function or method, a class, or a module-level
+    assignment; dunders are exempt, and so is a definition decorated by
+    anything outside :data:`PLAIN_DECORATORS`.  A name counts as read when
+    it occurs, as a word, more often across :data:`READER_DIRS` than it is
+    defined in ``src/``: a call, an import, a ``getattr`` string and a
+    docstring all count, so the check errs toward "read".
+    """
+    words: Counter = Counter()
+    for top in READER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    defined: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        module = path.relative_to(ROOT / "src").as_posix()
+        tree = ast.parse(path.read_text())
+        names = [
+            (node.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and all(_decorator_name(d) in PLAIN_DECORATORS for d in node.decorator_list)
+        ]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        for name, line in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                defined.setdefault(name, []).append(f"{module}:{line}")
+    return [
+        f"{where} defines {name}, which nothing else names"
+        for name, wheres in sorted(defined.items())
+        if words[name] <= len(wheres)
+        for where in wheres
+    ]
+
+
+def _decorator_name(node: ast.expr) -> str:
+    """``dataclass`` for ``@dataclass(slots=True)``, ``setter`` for ``@x.setter``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
 def unset_options() -> list[str]:
@@ -219,6 +275,7 @@ def main() -> int:
             problems.append(f"README.md does not link {target}")
 
     problems += upward_imports()
+    problems += unread_definitions()
 
     if problems:
         for problem in problems:
