@@ -99,7 +99,7 @@ from repro.events.failure import (
     Resync,
     install_detectors,
 )
-from repro.events.filters import Filter, eq, exists, filters_intersect
+from repro.events.filters import Filter, eq, exists
 from repro.events.index import ScanStore
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification
@@ -506,35 +506,34 @@ class BrokerNode(Host):
     def _unblock_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Forward the stored subscriptions a new advertisement unblocks.
 
-        Any subscription intersecting the advertisement now has a
-        producer in the neighbour's subtree; the table's
-        duplicate/covering suppression keeps the scan idempotent.  A
-        covering advertisement already stored from the same neighbour
-        means every such subscription was unblocked before — skip.
+        Any subscription the store poset finds intersecting it now has a producer
+        in the neighbour's subtree; each is offered in by-source order, as a store
+        sweep would (covering suppression depends on order), and idempotently by
+        the table's suppression.  A covering advertisement already stored from
+        the same neighbour means every such subscription was unblocked before — skip.
         """
         if self._covered_by_peer_advert(neighbour, advert):
             return
-        for source, filter in self.subs.entries(exclude=neighbour):
-            if filters_intersect(advert, filter):
-                self.subs.forward(neighbour, filter, self._sub_paths[(source, filter)])
+        rank = {source: i for i, source in enumerate(self.subs.by_source) if source != neighbour}
+        hits = [key for key in map(self.subs.poset.payload, self.subs.poset.intersecting(advert)) if key[0] in rank]
+        for source, filter in sorted(hits, key=lambda key: rank[key[0]]):  # stable: ids keep in-source order
+            self.subs.forward(neighbour, filter, self._sub_paths[(source, filter)])
 
     def _reprune_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Retract forwarded subscriptions a withdrawn advert justified.
 
         Symmetric to :meth:`_unblock_subscriptions`: a subscription
         forwarded toward the neighbour is withdrawn once no remaining
-        advertisement from that neighbour intersects it.  Subscriptions
-        the retracted one was masking need no restore — anything they
-        intersect, it intersects too, so they are equally unjustified.
+        advertisement from that neighbour (the link poset names them)
+        intersects it.  Subscriptions the retracted one was masking need no
+        restore — anything they intersect, it intersects too.
         """
         if self._covered_by_peer_advert(neighbour, advert):
             return
-        for filter in list(self.forwarded.get(neighbour, ())):
-            if not filters_intersect(advert, filter):
-                continue  # never depended on the withdrawn advertisement
-            if self._adv_intersects(neighbour, filter):
-                continue  # still justified by another advertisement
-            self.subs.withdraw(neighbour, filter)
+        poset = self.subs.fwd_posets[neighbour]
+        for filter in [poset.filter_of(pid) for pid in poset.intersecting(advert)]:
+            if not self._adv_intersects(neighbour, filter):  # else another advert justifies it
+                self.subs.withdraw(neighbour, filter)
 
     def advertisements(self) -> list[Filter]:
         """Every advertisement this broker knows about (all sources)."""

@@ -8,11 +8,16 @@ per-broker load flattening comes from exactly this pruning.
 ``a covers b`` means: every notification matched by ``b`` is matched by
 ``a``.  The implementation is conservative — when in doubt it answers False,
 which only costs redundant forwarding, never lost notifications.
+:func:`filter_covers` runs tests compiled once per filter from :func:`constraint_covers`.
 """
 
 from __future__ import annotations
 
-from repro.events.filters import Constraint, Filter, Op, _comparable
+import operator
+from functools import partial
+from typing import Callable
+
+from repro.events.filters import Constraint, Filter, Op, _comparable, family
 
 
 def constraint_covers(a: Constraint, b: Constraint) -> bool:
@@ -99,14 +104,44 @@ def constraint_covers(a: Constraint, b: Constraint) -> bool:
     return False
 
 
+# Per stored ``=``/numeric-range op: each probe op it covers, as ``cmp(bv, av)``.
+_COVER_CMP = {
+    Op.EQ: {Op.EQ: operator.eq},
+    Op.LT: {Op.LT: operator.le, Op.LE: operator.lt, Op.EQ: operator.lt},
+    Op.LE: dict.fromkeys((Op.LT, Op.LE, Op.EQ), operator.le),
+    Op.GT: {Op.GT: operator.ge, Op.GE: operator.gt, Op.EQ: operator.gt},
+    Op.GE: dict.fromkeys((Op.GT, Op.GE, Op.EQ), operator.ge),
+}
+_KINDS = {"b": bool, "n": (int, float), "s": str}
+
+
+def _compile_covers(a: Constraint) -> Callable[[Constraint], bool]:
+    """``constraint_covers`` with ``a`` fixed: ``=`` and numeric ranges become a closure
+    over their operator table and value (same name, same family), the other arms call it."""
+    table, fam = _COVER_CMP.get(a.op), family(a.value)
+    if table is None or (fam != "n" and a.op is not Op.EQ):
+        return partial(constraint_covers, a)
+    name, av, kinds, boolean = a.name, a.value, _KINDS[fam], fam == "b"
+    def covers(b: Constraint) -> bool:
+        cmp = table.get(b.op)
+        return cmp is not None and b.name == name and isinstance(bv := b.value, kinds) and (
+            isinstance(bv, bool) is boolean and cmp(bv, av)
+        )
+
+    return covers
+
+
 def filter_covers(a: Filter, b: Filter) -> bool:
     """Does filter ``a`` match every notification matched by ``b``?
 
     True iff every constraint of ``a`` is covered by some constraint of
     ``b`` (``b`` is at least as restrictive on every attribute ``a``
-    mentions).
+    mentions).  ``a`` keeps its compiled tests from its first call.
     """
-    return all(
-        any(constraint_covers(ca, cb) for cb in b.constraints)
-        for ca in a.constraints
-    )
+    tests = a._covers
+    if tests is None:
+        tests = a._covers = tuple(map(_compile_covers, a.constraints))
+    for test in tests:
+        if not any(map(test, b.constraints)):
+            return False
+    return True

@@ -184,9 +184,9 @@ def canonical_subject(value: Any) -> str:
 
 class Filter:
     """A conjunction of constraints; matches when every constraint does.
-    Identity is the constraint *set*, hashed once: filters key every book."""
+    Identity is the constraint *set*, hashed once: filters key every book; ``_sig``/``_covers`` fill on use."""
 
-    __slots__ = ("constraints", "_checks", "_hash", "_sig")
+    __slots__ = ("constraints", "_checks", "_hash", "_sig", "_covers")
 
     def __init__(self, *constraints: Constraint):
         if not constraints:
@@ -194,7 +194,7 @@ class Filter:
         self.constraints = tuple(constraints)
         self._checks = tuple(c.check for c in constraints)
         self._hash = hash(frozenset(self.constraints))
-        self._sig = None
+        self._sig = self._covers = None
 
     def matches(self, notification: Notification) -> bool:
         for check in self._checks:

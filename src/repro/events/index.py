@@ -908,7 +908,7 @@ class CoveringPoset:
 class ScanStore:
     """The naive reference as a structure: ``indexed=False`` puts one where
     the index and each poset would be.  Every query — :meth:`holders` and
-    the poset's four — scans the store in insertion order; :attr:`ops`
+    the poset's five — scans the store in insertion order; :attr:`ops`
     counts filters scanned, one per stored filter per notification."""
 
     def __init__(self) -> None:
@@ -930,6 +930,9 @@ class ScanStore:
     def payload(self, sid: int) -> Any:
         return self._entries[sid][1]
 
+    def filter_of(self, sid: int) -> Filter:
+        return self._entries[sid][0]
+
     def holders(self, notifications: Sequence[Notification]) -> list[set]:
         entries = self._entries.values()
         self.ops += len(entries) * len(notifications)
@@ -946,3 +949,6 @@ class ScanStore:
 
     def intersecting_any(self, filter: Filter) -> bool:
         return any(filters_intersect(f, filter) for f, _ in self._entries.values())
+
+    def intersecting(self, filter: Filter) -> list[int]:
+        return [sid for sid, (f, _) in self._entries.items() if filters_intersect(f, filter)]

@@ -31,7 +31,8 @@ reference the equivalence suites compare the indexed fabric against.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import attrgetter
+from collections.abc import Mapping
+from operator import attrgetter, indexOf
 from typing import Any, Callable, Collection, Hashable, Sequence
 
 from repro.events.filters import Filter
@@ -45,6 +46,22 @@ Path = tuple[Address, ...]
 
 def _bare(filter: Filter, source: Address | None = None) -> Filter:
     return filter
+
+
+class _Forwarded(Mapping):
+    """``neighbour -> [filter, ...]`` in forward order, read off ``fwd_ids``."""
+
+    def __init__(self, fwd_ids: dict[Address, dict[Filter, Hashable]]):
+        self._ids = fwd_ids
+
+    def __getitem__(self, neighbour: Address) -> list[Filter]:
+        return list(self._ids[neighbour])
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 class FilterTable:
@@ -106,12 +123,12 @@ class FilterTable:
         # sync, unmasking, deferred unblock) re-uses it so the flood
         # stays loop-scoped on meshes.
         self.paths: dict[tuple[Address, Filter], Path] = {}
-        # Filters already pushed toward each neighbour, and per-neighbour
-        # posets over them — the "is this covered by an already-forwarded
-        # one?" query.
-        self.forwarded: dict[Address, list[Filter]] = {}
+        # Filters already pushed toward each neighbour, in forward order with
+        # their ids in per-neighbour posets over them — the "is this covered
+        # by an already-forwarded one?" query.  ``forwarded`` lists them.
         self.fwd_posets: defaultdict[Address, ShardedCoveringPoset] = defaultdict(poset_type)
         self.fwd_ids: dict[Address, dict[Filter, Hashable]] = {}
+        self.forwarded = _Forwarded(self.fwd_ids)
         # The path each filter was last pushed toward a neighbour with
         # (as a set) — when a narrower copy arrives, the delta is re-sent
         # so the neighbour can narrow its stored path too.
@@ -134,7 +151,7 @@ class FilterTable:
         return sum(len(records) for records in self.by_source.values())
 
     def forwarded_count(self) -> int:
-        return sum(len(filters) for filters in self.forwarded.values())
+        return sum(map(len, self.fwd_ids.values()))
 
     def interested(
         self, notifications: Sequence[Notification], exclude: Address | None = None
@@ -225,17 +242,18 @@ class FilterTable:
 
         Returns whether an entry was stored.  The retraction pass runs
         either way — removing an absent entry finds nothing to withdraw,
-        which is how tag-less retractions terminate on a mesh.
+        which is how tag-less retractions terminate on a mesh.  The record
+        is found by identity, never ``Filter.__eq__``: it holds the object
+        the store poset was given.
         """
-        records = self.by_source.get(source, ())
-        kept = [r for r in records if self._filter_of(r) != filter]
-        removed = len(kept) != len(records)
+        key = (source, filter)
+        removed = key in self.paths
         if removed:
-            if kept:
-                self.by_source[source] = kept
-            else:
+            stored = self.poset.filter_of(self.poset_ids[key])
+            records = self.by_source[source]
+            del records[indexOf(map(id, map(self._filter_of, records)), id(stored))]
+            if not records:
                 del self.by_source[source]
-            key = (source, filter)
             del self.paths[key]
             self.index.remove(self.entry_ids.pop(key))
             self.poset.remove(self.poset_ids.pop(key))
@@ -308,7 +326,6 @@ class FilterTable:
         """
         if neighbour in path:
             return
-        already = self.forwarded.setdefault(neighbour, [])
         poset = self.fwd_posets[neighbour]
         ids = self.fwd_ids.setdefault(neighbour, {})
         if filter in ids:
@@ -317,7 +334,6 @@ class FilterTable:
         if self.covering_enabled and poset.covers_any(filter):
             return
         ids[filter] = poset.add(filter)
-        already.append(filter)
         self.sent.setdefault(neighbour, {})[filter] = frozenset(path)
         self.send(neighbour, self.forward_msg(filter, path + (self.addr,)))
 
@@ -334,7 +350,6 @@ class FilterTable:
 
     def withdraw(self, neighbour: Address, filter: Filter) -> None:
         """Strike a forwarded filter from every book and tell the neighbour."""
-        self.forwarded[neighbour].remove(filter)
         self.fwd_posets[neighbour].remove(self.fwd_ids[neighbour].pop(filter))
         del self.sent[neighbour][filter]
         self.send(neighbour, self.retract_msg(filter))
@@ -381,7 +396,7 @@ class FilterTable:
 
     def forget(self, neighbour: Address) -> None:
         """Discard every book kept about the link toward ``neighbour``."""
-        for book in (self.forwarded, self.fwd_posets, self.fwd_ids, self.sent):
+        for book in (self.fwd_posets, self.fwd_ids, self.sent):
             book.pop(neighbour, None)
 
     def reset(self, neighbour: Address) -> None:
@@ -391,7 +406,7 @@ class FilterTable:
         half of the link, and would suppress the re-push of :meth:`sync`.
         """
         self.forget(neighbour)
-        self.forwarded[neighbour] = []
+        self.fwd_ids[neighbour] = {}
 
     # ------------------------------------------------------------------
     # Audit
@@ -407,6 +422,8 @@ class FilterTable:
         stored: dict[Filter, set[Address]] = {}
         for source, filter in self.entries():
             stored.setdefault(filter, set()).add(source)
+            if _named(self.poset, self.poset_ids.get((source, filter))) is not filter:
+                problems.append(f"{filter!r} from {source!r} is not the object the poset holds")
         keys = {(src, f) for f, srcs in stored.items() for src in srcs}
         if not all(self.by_source.values()):
             problems.append("an empty by-source list is kept")
@@ -422,21 +439,24 @@ class FilterTable:
                 problems.append(f"{name} entries out of step with the store")
         if self.sources != stored:
             problems.append("sources out of step with the store")
-        for neighbour, filters in self.forwarded.items():
-            if filters and neighbour not in self.links:
+        for neighbour, ids in self.fwd_ids.items():
+            if ids and neighbour not in self.links:
                 problems.append(f"filters forwarded toward non-link {neighbour!r}")
-            if len(set(filters)) != len(filters):
-                problems.append(f"a filter is forwarded twice toward {neighbour!r}")
-            if set(self.sent.get(neighbour, ())) != set(filters):
+            if self.sent.get(neighbour, {}).keys() != ids.keys():
                 problems.append(f"sent paths out of step with forwards toward {neighbour!r}")
-            if (
-                set(self.fwd_ids.get(neighbour, ())) != set(filters)
-                or len(self.fwd_posets.get(neighbour, ())) != len(filters)
-            ):
+            poset = self.fwd_posets.get(neighbour, ())
+            if len(poset) != len(ids) or any(_named(poset, fid) != f for f, fid in ids.items()):
                 problems.append(f"link poset out of step with forwards toward {neighbour!r}")
-            for filter in filters:
+            for filter in ids:
                 if not stored.get(filter, set()) - {neighbour}:
                     problems.append(f"{filter!r} forwarded toward {neighbour!r} unjustified")
                 if self.blocked is not None and self.blocked(neighbour, filter):
                     problems.append(f"{filter!r} forwarded toward {neighbour!r} while blocked")
         return problems
+
+
+def _named(poset, pid: Hashable) -> Filter | None:  # None: a stale or missing id
+    try:
+        return poset.filter_of(pid)
+    except (KeyError, TypeError):
+        return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
+from repro.events.covering import constraint_covers
 from repro.events.filters import Op, _comparable
 from repro.events.index import ScanStore
 from repro.simulation import Future, Simulator
@@ -65,6 +66,15 @@ def scanned_retract(table, neighbour, filter) -> None:
         table._offer(neighbour, stored, table.paths[(source, stored)])
 
 
+def pairwise_covers(a, b) -> bool:
+    """The all/any form of ``filter_covers``: the reference for its compiled tests.
+
+    Every constraint of ``a`` must be covered by some constraint of ``b``,
+    asked of ``constraint_covers`` pair by pair at every call.
+    """
+    return all(any(constraint_covers(ca, cb) for cb in b.constraints) for ca in a.constraints)
+
+
 def leaf_only_placement(rule, order) -> list:
     """The seed's join plan: the reference for ``MatchingEngine._place``.
 
@@ -116,9 +126,11 @@ class Shadow:
     Wraps an index or covering poset (``primary``) and keeps a
     :class:`~repro.events.index.ScanStore` over the same filters beside it.
     Each call the filter tables and the broker make is answered by both;
-    ids in answers are mapped into the primary's id space, so ``covering``
-    and ``covered_by`` must agree as ordered lists.  The first difference
-    raises ``AssertionError``; otherwise the primary's answer is returned.
+    ids in answers are mapped into the primary's id space, so ``covering``,
+    ``covered_by`` and ``intersecting`` must agree as ordered lists, and
+    ``filter_of`` must name the very object the scan holds.  The first
+    difference raises ``AssertionError``; otherwise the primary's answer is
+    returned.
     ``asked`` counts the answers compared per query, ``checked`` in all.
     """
 
@@ -160,6 +172,12 @@ class Shadow:
         want = self.scan.payload(self._scan_id[pid])
         return self._same("payload", pid, self.primary.payload(pid), want)
 
+    def filter_of(self, pid):
+        got, want = self.primary.filter_of(pid), self.scan.filter_of(self._scan_id[pid])
+        assert got is want, f"{type(self.primary).__name__}.filter_of({pid!r}): {got!r} is not the scan's object"
+        self.asked["filter_of"] += 1
+        return got
+
     def _ask(self, query: str, arg):
         return self._same(query, arg, getattr(self.primary, query)(arg), getattr(self.scan, query)(arg))
 
@@ -181,3 +199,6 @@ class Shadow:
 
     def covered_by(self, filter) -> list:
         return self._ask_ids("covered_by", filter)
+
+    def intersecting(self, filter) -> list:
+        return self._ask_ids("intersecting", filter)

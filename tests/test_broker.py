@@ -7,6 +7,7 @@ from repro.events.elvin import ElvinClient, ElvinServer
 from repro.events.filters import Filter, eq, gt, type_is
 from repro.events.mobility import MobileClient
 from repro.events.model import make_event
+from repro.events.subscriptions import Subscription
 from repro.events.table import FilterTable
 from repro.events.wire import (
     Notify,
@@ -223,6 +224,23 @@ class TestTopologyIdempotence:
         assert (dict(a.control_counts), dict(b.control_counts)) == counts
 
 
+THREE = [Filter(type_is(kind)) for kind in ("weather", "gps", "rfid")]
+
+
+@pytest.fixture(params=[True, False], ids=["indexed", "naive"])
+def table(request):
+    """A table whose three filters from ``s1`` are all forwarded to ``n``."""
+    table = FilterTable(
+        "me", {"n"}, lambda neighbour, msg: None, Subscribe, Unsubscribe,
+        indexed=request.param, covering_enabled=True, record=Subscription.fresh,
+    )
+    for filter in THREE:
+        table.store("s1", filter)
+    table.store("s2", THREE[1])
+    assert table.check() == []
+    return table
+
+
 class TestAudit:
     """Books the audit used to let drift in one mode or the other."""
 
@@ -248,6 +266,51 @@ class TestAudit:
         assert table.check() == []
         table.sources.clear()
         assert "sources out of step with the store" in table.check()
+
+    # ``remove`` finds a record by the identity of the object the store
+    # poset holds, so the audit holds that identity, and each link's ids.
+    def test_a_record_the_poset_does_not_hold_is_named(self, table):
+        (record,) = table.by_source["s2"]
+        table.by_source["s2"][0] = Subscription(record.sub_id, Filter(type_is("gps")), "s2")
+        assert table.check() == [
+            f"{THREE[1]!r} from 's2' is not the object the poset holds"
+        ]
+
+    def test_a_forward_id_naming_another_filter_is_named(self, table):
+        ids = table.fwd_ids["n"]
+        ids[THREE[0]], ids[THREE[2]] = ids[THREE[2]], ids[THREE[0]]
+        assert table.check() == ["link poset out of step with forwards toward 'n'"]
+
+    def test_a_stale_forward_id_is_named(self, table):
+        ids = table.fwd_ids["n"]
+        pid = ids[THREE[1]]
+        table.fwd_posets["n"].remove(pid)
+        table.fwd_posets["n"].add(THREE[1])  # same size, a new id
+        assert table.check() == ["link poset out of step with forwards toward 'n'"]
+
+    def test_a_sent_path_without_a_forward_is_named(self, table):
+        table.sent["n"][Filter(type_is("mail"))] = frozenset()
+        assert table.check() == ["sent paths out of step with forwards toward 'n'"]
+
+    def test_removing_the_middle_record_keeps_the_rest_in_order(self, table):
+        records = table.by_source["s1"]
+        first, _middle, last = records
+        kept = {
+            "s2": list(table.by_source["s2"]),
+            "paths": dict(table.paths),
+            "entries": dict(table.entry_ids),
+            "poset": dict(table.poset_ids),
+        }
+        # An equal filter, not the stored object, names the entry.
+        assert table.remove("s1", Filter(type_is("gps")))
+        assert table.by_source["s1"] is records
+        assert len(records) == 2 and records[0] is first and records[1] is last
+        assert table.by_source["s2"] == kept["s2"]
+        for name, book in (("paths", table.paths), ("entries", table.entry_ids), ("poset", table.poset_ids)):
+            assert book == {k: v for k, v in kept[name].items() if k != ("s1", THREE[1])}, name
+        assert table.sources[THREE[1]] == {"s2"}
+        assert table.forwarded["n"] == THREE  # s2's copy keeps gps forwarded
+        assert table.check() == []
 
 
 class TestWireForms:

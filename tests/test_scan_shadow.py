@@ -67,6 +67,11 @@ def test_churn_answers_every_query_as_the_scan_does(mode, seed, monkeypatch):
     assert len(built) >= 5 * 4
     checked = checked_by_kind(built)
     assert all(checked.values()), checked
+    asked = sum((shadow.asked for shadow in built), start=Counter())
+    assert asked["filter_of"] > 0, asked
+    if mode == "adv_pruned":
+        # Advert flaps ask the store and link posets, not a sweep.
+        assert asked["intersecting"] > 0, asked
 
 
 def agent_shaped(rng: random.Random) -> Filter:
