@@ -5,10 +5,15 @@ advertisement/subscription interaction is built on:
 :func:`filters_intersect` answers "could some notification satisfy both
 filters?".  Brokers use it to forward a subscription toward a neighbour
 only when that neighbour's subtree has advertised an intersecting
-filter.  The predicate is conservative in the safe direction: a
-``False`` answer is exact (no notification can satisfy both), while a
-``True`` answer may be an over-approximation — which only costs
-redundant forwarding, never lost notifications (the mirror image of
+filter.  Each filter builds one normal form on first use — per attribute
+name, the value an ``=`` pins or else the ``=``-free constraint group,
+and ``False`` instead of a form when some name admits no value — so
+:func:`filter_satisfiable` reads whether the form exists and
+:func:`filters_intersect` meets two forms on the names both constrain.
+The predicate is conservative in the safe direction: a ``False`` answer
+is exact (no notification can satisfy both), while a ``True`` answer may
+be an over-approximation — which only costs redundant forwarding, never
+lost notifications (the mirror image of
 :func:`~repro.events.covering.filter_covers`'s conservatism).
 """
 
@@ -18,7 +23,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.events.model import AttributeValue, Notification
 
@@ -39,6 +44,7 @@ class Op(enum.Enum):
 
 
 _STRING_OPS = {Op.PREFIX, Op.SUFFIX, Op.CONTAINS}
+_BOUND_OPS = {Op.LT, Op.LE, Op.GT, Op.GE}
 _ORDER_CMP = {Op.EQ: operator.eq, Op.NE: operator.ne, Op.LT: operator.lt,
               Op.LE: operator.le, Op.GT: operator.gt, Op.GE: operator.ge}
 
@@ -184,9 +190,9 @@ def canonical_subject(value: Any) -> str:
 
 class Filter:
     """A conjunction of constraints; matches when every constraint does.
-    Identity is the constraint *set*, hashed once: filters key every book; ``_sig``/``_covers`` fill on use."""
+    Identity is the constraint *set*, hashed once: filters key every book; ``_sig``/``_covers``/``_form`` fill on use."""
 
-    __slots__ = ("constraints", "_checks", "_hash", "_sig", "_covers")
+    __slots__ = ("constraints", "_checks", "_hash", "_sig", "_covers", "_form")
 
     def __init__(self, *constraints: Constraint):
         if not constraints:
@@ -194,16 +200,13 @@ class Filter:
         self.constraints = tuple(constraints)
         self._checks = tuple(c.check for c in constraints)
         self._hash = hash(frozenset(self.constraints))
-        self._sig = self._covers = None
+        self._sig = self._covers = self._form = None
 
     def matches(self, notification: Notification) -> bool:
         for check in self._checks:
             if not check(notification):
                 return False
         return True
-
-    def attribute_names(self) -> set[str]:
-        return {c.name for c in self.constraints}
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -290,17 +293,16 @@ def type_is(event_type: str) -> Constraint:
 # ----------------------------------------------------------------------
 # Intersection: could some notification satisfy both filters?
 #
-# A conjunction of constraints is satisfiable iff, attribute by
-# attribute, some single value satisfies every constraint on that
-# attribute (attributes are independent: a witness notification just
-# carries one admissible value per constrained attribute).  Values live
-# in three comparison families — bool, number, string — and a
-# constraint only ever admits values of one family (EXISTS admits all),
-# so satisfiability is decided per family: exhaustively for bools,
-# by interval arithmetic for numbers, and by prefix/suffix
-# compatibility plus pinned-value checks for strings.  String order
-# ranges interacting with prefix/suffix patterns are the one place the
-# answer is conservatively True.
+# A conjunction is satisfiable iff, attribute by attribute, some single
+# value satisfies every constraint on that attribute (a witness
+# notification carries one admissible value per constrained attribute).
+# Each filter's normal form records, per name, the value an ``=`` pins
+# or else the ``=``-free group itself, and is ``False`` when some name
+# admits no value.  A pinned value is checked exactly; an ``=``-free group
+# runs a per-family ladder: exhaustive for bools, interval arithmetic
+# for numbers, prefix/suffix compatibility and bounds for strings.
+# String ranges fencing with suffix/contains patterns are the one place
+# the answer is conservatively True.
 # ----------------------------------------------------------------------
 def constraint_admits(constraint: Constraint, value: AttributeValue) -> bool:
     """Would an attribute holding ``value`` satisfy ``constraint``?
@@ -311,14 +313,14 @@ def constraint_admits(constraint: Constraint, value: AttributeValue) -> bool:
     return constraint.matches({constraint.name: value})  # type: ignore[arg-type]
 
 
-def _bool_satisfiable(constraints: list[Constraint]) -> bool:
+def _bool_satisfiable(constraints: Sequence[Constraint]) -> bool:
     return any(
         all(constraint_admits(c, value) for c in constraints)
         for value in (True, False)
     )
 
 
-def _tightest_bounds(constraints: list[Constraint]) -> tuple:
+def _tightest_bounds(constraints: Sequence[Constraint]) -> tuple:
     """The interval the order constraints leave, as ``(lo, lo_open, hi,
     hi_open)``; a bound is ``None`` where nothing constrains that side."""
     lo = hi = None
@@ -339,11 +341,9 @@ def _tightest_bounds(constraints: list[Constraint]) -> tuple:
     return lo, lo_open, hi, hi_open
 
 
-def _numeric_satisfiable(constraints: list[Constraint]) -> bool:
-    eqs = [c.value for c in constraints if c.op is Op.EQ]
-    if eqs:
-        # An equality pins the only candidate; every constraint votes.
-        return all(constraint_admits(c, eqs[0]) for c in constraints)
+def _numeric_satisfiable(constraints: Sequence[Constraint]) -> bool:
+    if any(c.op in _BOUND_OPS and c.value != c.value for c in constraints):
+        return False  # no number is ordered against NaN
     lo, lo_open, hi, hi_open = _tightest_bounds(constraints)
     lo = -math.inf if lo is None else lo
     hi = math.inf if hi is None else hi
@@ -358,10 +358,7 @@ def _numeric_satisfiable(constraints: list[Constraint]) -> bool:
     return True
 
 
-def _string_satisfiable(constraints: list[Constraint]) -> bool:
-    eqs = [c.value for c in constraints if c.op is Op.EQ]
-    if eqs:
-        return all(constraint_admits(c, eqs[0]) for c in constraints)
+def _string_satisfiable(constraints: Sequence[Constraint]) -> bool:
     prefixes = [c.value for c in constraints if c.op is Op.PREFIX]
     if prefixes:
         longest = max(prefixes, key=len)
@@ -373,15 +370,15 @@ def _string_satisfiable(constraints: list[Constraint]) -> bool:
         if not all(longest.endswith(s) for s in suffixes):
             return False
     lo, lo_open, hi, hi_open = _tightest_bounds(constraints)
-    if lo is not None and hi is not None:
+    if lo is None:
+        lo, lo_open = "", False  # "" is the lexicographic minimum
+    if hi is not None:
         if lo > hi:
             return False
         if lo == hi:
             if lo_open or hi_open:
                 return False
             return all(constraint_admits(c, lo) for c in constraints)
-    if hi == "" and hi_open:
-        return False  # no string is strictly below "", the lexicographic minimum
     if prefixes:
         # Every string with prefix P sits in the half-line [P, …): P is
         # its minimum, and any string above P *not* extending P differs
@@ -397,7 +394,7 @@ def _string_satisfiable(constraints: list[Constraint]) -> bool:
                     return False  # only P itself meets the cap, excluded
                 # The cap pins the witness to exactly P.
                 return all(constraint_admits(c, longest) for c in constraints)
-        if lo is not None and lo > longest and not lo.startswith(longest):
+        if lo > longest and not lo.startswith(longest):
             return False  # the whole half-line below lo's first divergence
     # Remaining combinations (pattern constraints, one-sided or roomy
     # ranges, NE exclusions over an infinite domain) either always admit
@@ -407,55 +404,76 @@ def _string_satisfiable(constraints: list[Constraint]) -> bool:
     return True
 
 
-def constraints_satisfiable(constraints: Iterable[Constraint]) -> bool:
-    """Can a single attribute value satisfy every constraint in the group?
-
-    ``False`` is exact; ``True`` may be conservative (see module note).
-    """
-    group = list(constraints)
+def _name_form(group: Sequence[Constraint]) -> Any:
+    """One name's entry in a normal form: the value its first ``=`` pins,
+    else the ``=``-free group as a tuple; ``None`` when no value satisfies
+    the group.  A satisfiable group holding an ``=`` admits that value
+    alone (up to numeric equality), so the pin is checked exactly; an
+    ``=``-free group runs the ladder of each family it leaves open."""
     families = {"b", "n", "s"}
     for c in group:
-        if c.op is Op.EXISTS:
-            continue
-        families &= {"s"} if c.op in _STRING_OPS else {family(c.value)}
-    if "b" in families and _bool_satisfiable(group):
-        return True
-    if "n" in families and _numeric_satisfiable(group):
-        return True
-    return "s" in families and _string_satisfiable(group)
+        if c.op is Op.EQ:
+            pin = c.value
+            return pin if all(constraint_admits(d, pin) for d in group) else None
+        if c.op is not Op.EXISTS:
+            families &= {"s"} if c.op in _STRING_OPS else {family(c.value)}
+    if (
+        ("b" in families and _bool_satisfiable(group))
+        or ("n" in families and _numeric_satisfiable(group))
+        or ("s" in families and _string_satisfiable(group))
+    ):
+        return tuple(group)
+    return None
+
+
+def constraints_satisfiable(constraints: Iterable[Constraint]) -> bool:
+    """Does the group's normal form exist — can one attribute value
+    satisfy every constraint in it?  ``False`` is exact; ``True`` may be
+    conservative (see the note above)."""
+    return _name_form(list(constraints)) is not None
+
+
+def _normal_form(filter: Filter) -> dict[str, Any] | bool:
+    """``filter``'s per-name normal form (see :func:`_name_form`), built
+    on first use and kept on the filter; ``False`` when it matches nothing."""
+    form = filter._form
+    if form is None:
+        groups: dict[str, list[Constraint]] = {}
+        for c in filter.constraints:
+            groups.setdefault(c.name, []).append(c)
+        form = {name: _name_form(group) for name, group in groups.items()}
+        if None in form.values():
+            form = False
+        filter._form = form
+    return form
 
 
 def _signature(filter: Filter) -> frozenset:
-    """A cache key for a filter's constraint set, built once per filter.
+    """A filter's constraint set as plain value tuples, built once per filter.
 
     Mirrors ``Constraint``'s family-tagged identity (``[x > True]`` and
-    ``[x > 1]`` stay distinct) while keying the satisfiability caches on
-    plain value tuples rather than retaining ``Filter`` objects; cached
-    on the filter, a probe re-hashes nothing (frozensets cache their hash).
+    ``[x > 1]`` stay distinct); ``rendezvous.signature_key`` builds an
+    untyped advertisement's discovery key from it.
     """
     if filter._sig is None:
         filter._sig = frozenset((c.name, c.op, family(c.value), c.value) for c in filter.constraints)
     return filter._sig
 
 
-_SAT_CACHE: dict[frozenset, bool] = {}
-_INTERSECT_CACHE: dict[frozenset, bool] = {}
-_CACHE_LIMIT = 16384
-
-
 def filter_satisfiable(filter: Filter) -> bool:
     """Could any notification match ``filter``?  ``False`` is exact."""
-    key = _signature(filter)
-    cached = _SAT_CACHE.get(key)
-    if cached is None:
-        groups: dict[str, list[Constraint]] = {}
-        for c in filter.constraints:
-            groups.setdefault(c.name, []).append(c)
-        cached = all(constraints_satisfiable(group) for group in groups.values())
-        if len(_SAT_CACHE) >= _CACHE_LIMIT:
-            _SAT_CACHE.clear()
-        _SAT_CACHE[key] = cached
-    return cached
+    return _normal_form(filter) is not False
+
+
+def _meet(x: Any, y: Any) -> bool:
+    """Can one value satisfy two normal-form entries of the same name?"""
+    if isinstance(y, tuple):
+        x, y = y, x  # a group, if either entry is one, comes first
+    if not isinstance(x, tuple):
+        return x == y and family(x) == family(y)  # two pins
+    if isinstance(y, tuple):
+        return constraints_satisfiable(x + y)
+    return all(constraint_admits(c, y) for c in x)
 
 
 def filters_intersect(a: Filter, b: Filter) -> bool:
@@ -465,23 +483,16 @@ def filters_intersect(a: Filter, b: Filter) -> bool:
     ``False`` answer is exact — advertisement-based pruning may rely on
     it to drop forwarding without ever losing a notification — while
     ``True`` may over-approximate (costing only redundant forwarding).
-    Attributes constrained by just one side never block intersection on
-    their own; only jointly-unsatisfiable attribute groups (including a
-    side's own contradictions) do.
+    The two normal forms meet only on the names both constrain: a name
+    just one side constrains is settled by that side's form existing.
     """
-    sig_a, sig_b = _signature(a), _signature(b)
-    if sig_a == sig_b:
-        return filter_satisfiable(a)
-    key = frozenset((sig_a, sig_b))
-    cached = _INTERSECT_CACHE.get(key)
-    if cached is None:
-        groups: dict[str, list[Constraint]] = {}
-        for c in a.constraints:
-            groups.setdefault(c.name, []).append(c)
-        for c in b.constraints:
-            groups.setdefault(c.name, []).append(c)
-        cached = all(constraints_satisfiable(group) for group in groups.values())
-        if len(_INTERSECT_CACHE) >= _CACHE_LIMIT:
-            _INTERSECT_CACHE.clear()
-        _INTERSECT_CACHE[key] = cached
-    return cached
+    form_a, form_b = _normal_form(a), _normal_form(b)
+    if form_a is False or form_b is False:
+        return False
+    if len(form_b) < len(form_a):
+        form_a, form_b = form_b, form_a
+    for name, x in form_a.items():
+        y = form_b.get(name)
+        if y is not None and not _meet(x, y):
+            return False
+    return True

@@ -731,7 +731,7 @@ class CoveringPoset:
         # (48 000 band subscriptions are three shapes).
         self._pruning: dict[int, tuple[tuple, dict[str, int]]] = {}
         self._shapes: dict[tuple, tuple[tuple, dict[str, int]]] = {}
-        self.checks = 0  # exact filter_covers verifications performed
+        self.checks = 0  # exact filter_covers verifications; intersection runs none
 
     def __len__(self) -> int:
         return len(self._filters)
@@ -846,18 +846,9 @@ class CoveringPoset:
 
     # -- intersection ---------------------------------------------------
     # Intersection cannot be pruned by attribute names the way covering
-    # can — two satisfiable filters over *disjoint* attribute sets always
-    # intersect — but the name index still splits the store: entries
-    # sharing an attribute with the probe need the exact
-    # ``filters_intersect`` check, while for the rest intersection
-    # reduces to both sides being satisfiable (one cached check each).
-
-    def _sharing_candidates(self, names: set[str]) -> set[int]:
-        """Stored ids constraining at least one of ``names``."""
-        shared: set[int] = set()
-        for name in names:
-            shared.update(self._members.get(name, ()))
-        return shared
+    # can: two satisfiable filters over disjoint names always intersect.
+    # Each filter meets the probe through its normal form, built once per
+    # filter, so a query scans the part and runs no filter_covers check.
 
     def intersecting_any(self, filter: Filter) -> bool:
         """Does ``filter`` intersect some stored filter?
@@ -866,43 +857,15 @@ class CoveringPoset:
         store — the advertisement-pruning question "does this subtree
         produce anything this subscription wants?".
         """
-        if not self._filters:
-            return False
         if not filter_satisfiable(filter):
             return False
-        shared = self._sharing_candidates(filter.attribute_names())
-        if len(shared) < len(self._filters):
-            # Some stored filter is attribute-disjoint from the probe;
-            # any satisfiable one intersects it outright.
-            if any(
-                filter_satisfiable(f)
-                for pid, f in self._filters.items()
-                if pid not in shared
-            ):
-                return True
-        filters = self._filters
-        for pid in shared:
-            self.checks += 1
-            if filters_intersect(filters[pid], filter):
-                return True
-        return False
+        return any(filters_intersect(f, filter) for f in self._filters.values())
 
     def intersecting(self, filter: Filter) -> list[int]:
         """Every stored filter intersecting ``filter``, in insertion order."""
-        filters = self._filters
         if not filter_satisfiable(filter):
             return []
-        shared = self._sharing_candidates(filter.attribute_names())
-        out = []
-        for pid, f in filters.items():
-            if pid in shared:
-                self.checks += 1
-                if filters_intersect(f, filter):
-                    out.append(pid)
-            elif filter_satisfiable(f):
-                out.append(pid)
-        return sorted(out)
-
+        return [pid for pid, f in self._filters.items() if filters_intersect(f, filter)]
 
 
 class ScanStore:

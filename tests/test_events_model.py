@@ -153,10 +153,6 @@ class TestFilter:
         assert f1 == f2
         assert hash(f1) == hash(f2)
 
-    def test_attribute_names(self):
-        f = Filter(eq("a", 1), gt("b", 2))
-        assert f.attribute_names() == {"a", "b"}
-
 
 class TestFilterIdentity:
     """A filter's hash is computed once and its signature built once;

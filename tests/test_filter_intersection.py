@@ -15,8 +15,13 @@ flipped).  The randomized suites below hold the predicate to:
   and the naive any/all scans, under add/remove churn.
 """
 
+import copy
 import itertools
+import math
 import random
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.events.covering import filter_covers
 from repro.events.filters import (
@@ -27,6 +32,7 @@ from repro.events.filters import (
     constraints_satisfiable,
     eq,
     exists,
+    family,
     filter_satisfiable,
     filters_intersect,
     ge,
@@ -39,12 +45,14 @@ from repro.events.filters import (
 )
 from repro.events.index import CoveringPoset
 from repro.events.model import Notification
+from tests.test_compiled_covers import GRID, VALUES
 from tests.test_index_equivalence import (
     ATTRS,
     STRINGS,
     random_filter,
     random_notification,
 )
+from tests.test_poset_properties import constraints as poset_constraints
 
 STRING_OPS = (Op.PREFIX, Op.SUFFIX, Op.CONTAINS)
 
@@ -293,8 +301,8 @@ class TestPosetIntersectionEquivalence:
         poset = CoveringPoset()
         poset.add(Filter(eq("a", 1)))
         checks_before = poset.checks
-        # The probe shares no attributes: intersection should be decided
-        # by satisfiability alone, without an exact pairwise check.
+        # The probe shares no attributes, so the two satisfiable forms
+        # intersect; intersection runs no exact filter_covers check.
         assert poset.intersecting_any(Filter(eq("b", 2)))
         assert poset.checks == checks_before
 
@@ -407,3 +415,127 @@ class TestOperatorFamilyMaskPruning:
         # The bitset prefilter keeps exact checks well below the naive
         # population × probes product.
         assert poset.checks - before < 0.5 * 120 * len(probes)
+
+
+# ----------------------------------------------------------------------
+# Exactness on the one-constraint grid, and monotonicity.
+# ----------------------------------------------------------------------
+NAN = float("nan")
+
+
+def _grid_pool() -> list:
+    """A witness pool complete for pairs of ``GRID`` constraints: each
+    numeric value ±1 and ±0.5, both infinities, ``10**400 ± 1``, both
+    bools, and every concatenation of up to three string tokens — the
+    grid's strings and their NUL successors (``"\\x00a"`` sits below
+    ``"a"``, ``"bab"`` above ``"b"`` and holds ``"ab"``)."""
+    numbers = [v for v in VALUES if family(v) == "n"]
+    pool: list = [True, False, math.inf, -math.inf, 10**400 - 1, 10**400 + 1]
+    for v in numbers:
+        pool.append(v)
+        for step in (1, 0.5):
+            try:
+                pool += [v - step, v + step]
+            except OverflowError:  # 10**400 has no float neighbour
+                pass
+    strings = [v for v in VALUES if isinstance(v, str)]
+    tokens = strings + [s + "\x00" for s in strings]
+    pool += ["".join(t) for n in range(4) for t in itertools.product(tokens, repeat=n)]
+    return pool
+
+
+class TestGridExactness:
+    """On every ordered pair of one-constraint filters drawn from the
+    covering grid (both names), ``filters_intersect`` answers True exactly
+    when some pool value matches both, and ``filter_satisfiable`` exactly
+    when some pool value matches the one filter: no pair is
+    over-approximated, NaN bounds and ``[x <= ""]`` included."""
+
+    def test_every_pair_is_exact(self):
+        pool = _grid_pool()
+        admitted = {}
+        for c in GRID:
+            bits = 0
+            for i, value in enumerate(pool):
+                if constraint_admits(c, value):
+                    bits |= 1 << i
+            admitted[c] = bits
+        wrong = [c for c in GRID if filter_satisfiable(Filter(c)) != bool(admitted[c])]
+        verdicts = set()
+        for a, b in itertools.product(GRID, repeat=2):
+            if a.name == b.name:
+                want = bool(admitted[a] & admitted[b])
+            else:
+                want = bool(admitted[a]) and bool(admitted[b])
+            got = filters_intersect(Filter(a), Filter(b))
+            verdicts.add(got)
+            if got != want:
+                wrong.append((a, b, want))
+        assert wrong == []
+        assert verdicts == {True, False}
+
+    def test_a_nan_bound_admits_no_number(self):
+        for op in (Op.LT, Op.LE, Op.GT, Op.GE):
+            assert not filter_satisfiable(Filter(Constraint("x", op, NAN))), op
+            assert not filters_intersect(Filter(Constraint("x", op, NAN)), Filter(exists("x"))), op
+        # Not an order bound: every number differs from NaN.
+        assert filter_satisfiable(Filter(ne("x", NAN)))
+
+    def test_the_empty_string_floors_every_string_range(self):
+        floor = Filter(le("x", ""))
+        assert filter_satisfiable(floor)
+        assert filters_intersect(floor, Filter(prefix("x", "")))
+        assert not filters_intersect(floor, Filter(suffix("x", "a")))
+        assert not filters_intersect(floor, Filter(Constraint("x", Op.CONTAINS, "a")))
+        assert not filter_satisfiable(Filter(lt("x", "")))
+
+    def test_pins_meet_by_value_and_family(self):
+        assert filters_intersect(Filter(eq("x", 1)), Filter(eq("x", 1.0)))
+        assert filters_intersect(Filter(eq("x", 0)), Filter(eq("x", -0.0)))
+        assert not filters_intersect(Filter(eq("x", True)), Filter(eq("x", 1)))
+        assert not filters_intersect(Filter(eq("x", False)), Filter(eq("x", 0)))
+        assert not filters_intersect(Filter(eq("x", 2**53 + 1)), Filter(eq("x", float(2**53))))
+        # A pin against a group: every constraint of the group votes.
+        assert not filters_intersect(Filter(eq("x", 1)), Filter(gt("x", 0), ne("x", 1)))
+        assert filters_intersect(Filter(eq("x", 1)), Filter(gt("x", 0), ne("x", 2)))
+
+    def test_the_meet_looks_up_every_shared_name(self):
+        """Shared names meet wherever they sit in either filter, and a
+        name one side lacks never blocks."""
+        wide = Filter(eq("a", 1), eq("b", 1), eq("x", 1))
+        assert not filters_intersect(wide, Filter(eq("x", 2)))
+        assert not filters_intersect(Filter(eq("x", 2)), wide)
+        assert not filters_intersect(Filter(eq("x", 2), exists("c")), wide)
+        assert filters_intersect(Filter(eq("x", 1), exists("c")), wide)
+
+    def test_the_form_is_built_once_and_only_on_use(self):
+        f = Filter(eq("type", "a"), gt("x", 1))
+        assert f._form is None
+        assert filters_intersect(f, Filter(eq("type", "a")))
+        form = f._form
+        assert form == {"type": "a", "x": (gt("x", 1),)}
+        assert filter_satisfiable(f) and f._form is form
+        assert filter_satisfiable(copy.deepcopy(f))
+        broken = Filter(gt("x", 1), lt("x", 0))
+        assert not filter_satisfiable(broken) and broken._form is False
+
+
+names = st.sampled_from(["x", "y"])
+one_constraint = names.flatmap(poset_constraints)
+small_filters = st.lists(one_constraint, min_size=1, max_size=3).map(lambda cs: Filter(*cs))
+
+
+@given(small_filters, one_constraint, st.integers(0, 3), small_filters)
+def test_adding_a_constraint_never_widens(f, extra, at, other):
+    """Meeting only narrows: a filter with one more constraint is never
+    satisfiable where the smaller one was not, and never intersects a
+    filter the smaller one did not — over NaN, ``10**400``, ``2**53 + 1``
+    and the string patterns, with the new constraint at any position
+    (an ``=`` placed first changes which value pins)."""
+    cs = list(f.constraints)
+    bigger = Filter(*cs[:at], extra, *cs[at:])
+    if not filter_satisfiable(f):
+        assert not filter_satisfiable(bigger)
+    if not filters_intersect(f, other):
+        assert not filters_intersect(bigger, other)
+        assert not filters_intersect(other, bigger)
