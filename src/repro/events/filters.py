@@ -190,9 +190,10 @@ def canonical_subject(value: Any) -> str:
 
 class Filter:
     """A conjunction of constraints; matches when every constraint does.
-    Identity is the constraint *set*, hashed once: filters key every book; ``_sig``/``_covers``/``_form`` fill on use."""
+    Identity is the constraint *set*, hashed once: filters key every book;
+    ``_sig``/``_covers``/``_form``/``_summary`` (the covering poset's) fill on use."""
 
-    __slots__ = ("constraints", "_checks", "_hash", "_sig", "_covers", "_form")
+    __slots__ = ("constraints", "_checks", "_hash", "_sig", "_covers", "_form", "_summary")
 
     def __init__(self, *constraints: Constraint):
         if not constraints:
@@ -200,7 +201,7 @@ class Filter:
         self.constraints = tuple(constraints)
         self._checks = tuple(c.check for c in constraints)
         self._hash = hash(frozenset(self.constraints))
-        self._sig = self._covers = self._form = None
+        self._sig = self._covers = self._form = self._summary = None
 
     def matches(self, notification: Notification) -> bool:
         for check in self._checks:
@@ -353,9 +354,30 @@ def _numeric_satisfiable(constraints: Sequence[Constraint]) -> bool:
         if lo_open or hi_open:
             return False
         return all(constraint_admits(c, lo) for c in constraints)
-    # A real interval over the (dense) numeric line: the finitely many
-    # NE exclusions cannot empty it.
-    return True
+    if lo == -math.inf or hi == math.inf:
+        return True  # infinitely many numbers: finitely many NE cannot empty it
+    # Both ends finite: walk the numbers inside upward.  Each NE excludes
+    # one of them, so one of the first (NE count + 1) survives if the
+    # interval holds that many; ``[x > 1.0] & [x < nextafter(1.0, 2)]``
+    # holds none.
+    value = lo if not lo_open else _next_number(lo)
+    while value < hi or (value == hi and not hi_open):
+        if all(constraint_admits(c, value) for c in constraints):
+            return True
+        value = _next_number(value)
+    return False
+
+
+def _next_number(value: int | float) -> int | float:
+    """The least int or float above the finite ``value``."""
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int beyond float range
+        as_float = math.inf if value > 0 else math.nextafter(-math.inf, 0)
+    else:
+        if as_float <= value:
+            as_float = math.nextafter(as_float, math.inf)
+    return min(math.floor(value) + 1, as_float)
 
 
 def _string_satisfiable(constraints: Sequence[Constraint]) -> bool:

@@ -50,9 +50,12 @@ engine pins events to patterns through its own per-type buckets):
   so candidates are pruned with an inverted index over names and
   equality keys ``(name, family, value)`` — refined with per-name
   operator/family bitsets: a stored ``[x > 5]`` can only cover an ``x``
-  constraint from the numeric ``{>, >=, =}`` families, so probes lacking
-  those never reach the exact
-  :func:`~repro.events.covering.filter_covers` check.
+  constraint from the numeric ``{>, >=, =}`` families — and by numeric
+  bounds: only one bounding ``x`` at 5 or above — so other probes never
+  reach the exact
+  :func:`~repro.events.covering.filter_covers` check.  What these tests
+  read of a filter (keys, bitsets, bounds, subject) is its covering
+  summary, built once per filter on its first query, never on ``add``.
   Brokers hold it partitioned by subject, one part per subject
   (:class:`~repro.events.sharding.ShardedCoveringPoset`), like the index.
 
@@ -71,7 +74,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import count
+from math import inf
 from typing import Any, Hashable, Sequence
 
 try:  # vectorised batch counting; every path has a pure-python fallback
@@ -87,6 +92,7 @@ from repro.events.filters import (
     family as _family,
     filter_satisfiable,
     filters_intersect,
+    sole_subject,
 )
 from repro.events.model import Notification
 
@@ -593,14 +599,15 @@ class PredicateIndex:
 
 
 # ----------------------------------------------------------------------
-# Covering-poset candidate pruning: operator/family bitsets
+# Covering-poset candidate pruning: operator/family bitsets, numeric bounds
 # ----------------------------------------------------------------------
 # Each constraint op × value family gets one bit; EXISTS (valueless) gets
-# its own.  For a stored constraint ``ca``, ``_cover_needs(ca)`` is the
-# set of probe-constraint bits ``ca`` could possibly cover (derived from
-# the constraint_covers truth table as a *necessary* condition) — a
-# candidate whose probe lacks every such bit on some constrained name
-# cannot cover, so the exact filter_covers check is skipped.
+# its own.  For a stored constraint ``ca``, ``_cover_needs`` of its
+# operator and value family is the set of probe-constraint bits ``ca``
+# could possibly cover (derived from the constraint_covers truth table as
+# a *necessary* condition) — a candidate whose probe lacks every such bit
+# on some constrained name cannot cover, so the exact filter_covers check
+# is skipped.  The numeric bounds (``_bounds``) are the second such test.
 _FAMILY_SLOT = {"b": 0, "n": 1, "s": 2}
 _OPS_ORDER = (
     Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.PREFIX, Op.SUFFIX, Op.CONTAINS
@@ -610,30 +617,23 @@ _EXISTS_BIT = 1 << (len(_OPS_ORDER) * 3)
 _ALL_BITS = (_EXISTS_BIT << 1) - 1
 
 
-def _constraint_bit(constraint: Constraint) -> int:
-    """The presence bit a constraint contributes to its name's mask."""
-    if constraint.op is Op.EXISTS:
-        return _EXISTS_BIT
-    return 1 << (
-        _OP_SLOT[constraint.op] * 3 + _FAMILY_SLOT[_family(constraint.value)]
-    )
-
-
 def _bit(op: Op, family: str) -> int:
+    """The presence bit an ``op`` constraint over a ``family`` value sets."""
+    if op is Op.EXISTS:
+        return _EXISTS_BIT
     return 1 << (_OP_SLOT[op] * 3 + _FAMILY_SLOT[family])
 
 
-def _cover_needs(constraint: Constraint) -> int:
-    """Bits of the constraints ``constraint`` could cover (necessary condition).
+def _cover_needs(op: Op, fam: str) -> int:
+    """Bits of the constraints an ``op`` constraint over a ``fam`` value
+    could cover (necessary condition).
 
     Mirrors :func:`~repro.events.covering.constraint_covers`: e.g. a
     numeric ``<`` covers only numeric ``<``/``<=``/``=`` constraints, a
     string range covers nothing, EXISTS covers anything.
     """
-    op = constraint.op
     if op is Op.EXISTS:
         return _ALL_BITS
-    fam = _family(constraint.value)
     if op is Op.EQ:
         return _bit(Op.EQ, fam)
     if op is Op.NE:
@@ -662,19 +662,6 @@ def _cover_needs(constraint: Constraint) -> int:
     )
 
 
-_SHAPES_MAX = 1024  # interned shapes per poset; on overflow the table resets
-
-
-def _name_masks(filter: Filter) -> dict[str, int]:
-    """Per-name OR of the filter's constraint presence bits."""
-    masks: dict[str, int] = {}
-    for constraint in filter.constraints:
-        masks[constraint.name] = masks.get(constraint.name, 0) | _constraint_bit(
-            constraint
-        )
-    return masks
-
-
 def _keys(filter: Filter) -> dict[Hashable, None]:
     """Every bucket an entry is filed under: each attribute name, and per
     equality its key ``(name, family, value)``, in constraint order.
@@ -693,6 +680,89 @@ def _keys(filter: Filter) -> dict[Hashable, None]:
     return keys
 
 
+def _bounds(filter: Filter) -> tuple:
+    """Per name with a numeric ``=`` or range constraint, ``(name, need_lo,
+    need_hi, offer_lo, offer_hi)``: as a covering side the filter demands
+    a probe at least as tight as its ``>``/``>=`` and ``<``/``<=`` values;
+    as a probe it offers its ``>``/``>=``/``=`` and ``<``/``<=``/``=``
+    values.  Bools bound nothing, an absent side is infinite, and a NaN
+    never moves a side: ``max``/``min`` keep their first argument against
+    it (every comparison with NaN is False)."""
+    spans: dict[str, list] = {}
+    for c in filter.constraints:
+        op, v = c.op, c.value
+        if (op is Op.EQ or op in _RANGE_OPS) and _family(v) == "n":
+            span = spans.setdefault(c.name, [-inf, inf, -inf, inf])
+            if op is not Op.LT and op is not Op.LE:  # EQ, GT, GE: a lower side
+                span[2] = max(span[2], v)
+                if op is not Op.EQ:
+                    span[0] = max(span[0], v)
+            if op is not Op.GT and op is not Op.GE:  # EQ, LT, LE: an upper side
+                span[3] = min(span[3], v)
+                if op is not Op.EQ:
+                    span[1] = min(span[1], v)
+    return tuple((name, *span) for name, span in spans.items())
+
+
+def _bounds_admit(demands: tuple, offers: tuple) -> bool:
+    """Could a filter with ``demands`` cover one with ``offers``?
+
+    A necessary condition: the covering side's ``[x > v]`` is covered only
+    by a numeric ``>``/``>=``/``=`` at or above ``v`` on ``x`` (and mirrored
+    for ``<``), so the offer must reach every demand, and a name the
+    covering side bounds must be one the probe bounds.  It admits every
+    pair :func:`filter_covers` accepts; ``filter_covers`` decides the rest.
+    """
+    for name, need_lo, need_hi, _, _ in demands:
+        for other, _, _, offer_lo, offer_hi in offers:
+            if other == name:
+                if not (offer_lo >= need_lo and offer_hi <= need_hi):
+                    return False
+                break
+        else:
+            return False
+    return True
+
+
+class _Summary:
+    """What covering queries read of one filter, built on its first query
+    and kept on it (``Filter._summary``): its bucket ``keys``, the
+    ``(name, bits)`` ``needs`` a probe must meet to be covered by it and its
+    own per-name ``masks`` — one pair shared per shape — its numeric
+    ``bounds`` and its ``subject``."""
+
+    __slots__ = ("keys", "needs", "masks", "bounds", "subject")
+
+
+_NO_ENTRIES: dict[int, Filter] = {}
+
+
+@lru_cache(maxsize=1024)
+def _shape_pair(shape: tuple) -> tuple:
+    """``(needs, masks)`` for a filter of ``shape``, its ``(name, op,
+    family)`` per constraint: the ``(name, bits)`` a probe must meet to be
+    covered by it, and its own per-name presence masks.  Both depend on
+    the shape alone, so filters of one shape share one read-only pair
+    (48 000 band subscriptions are three shapes)."""
+    masks: dict[str, int] = {}
+    for name, op, fam in shape:
+        masks[name] = masks.get(name, 0) | _bit(op, fam)
+    return tuple((name, _cover_needs(op, fam)) for name, op, fam in shape), masks
+
+
+def cover_summary(filter: Filter) -> _Summary:
+    """``filter``'s covering summary, built on first use (a filter only
+    ever stored, never queried with or against, builds none)."""
+    s = filter._summary
+    if s is None:
+        s = filter._summary = _Summary()
+        s.keys = tuple(_keys(filter))
+        s.needs, s.masks = _shape_pair(tuple((c.name, c.op, _family(c.value)) for c in filter.constraints))
+        s.bounds = _bounds(filter)
+        s.subject = sole_subject(filter)
+    return s
+
+
 class CoveringPoset:
     """The covering partial order over a dynamic set of filters.
 
@@ -703,15 +773,18 @@ class CoveringPoset:
     whichever of its keys had the smallest bucket when it was added.  A
     ``covers_any`` / ``covering`` probe walks only the homes of its own
     keys, so ``[type = suggestion, user = bob]`` never meets the stored
-    ``[.., user = alice]``.  Candidates are refined by per-name
+    ``[.., user = alice]``.  Each candidate then meets two necessary
+    tests read from the two filters' summaries (:func:`cover_summary`,
+    built per filter on its first query): numeric bounds (a stored
+    ``[x > 5]`` needs a probe bounding ``x`` at 5 or above), then per-name
     operator/family bitsets (a stored numeric range covers only numeric
-    range/equality constraints, etc.) before the exact
-    :func:`filter_covers` verification decides; answers are identical to
-    the pairwise scan's.  Duplicate filters may be stored (e.g. the same
-    subscription from two sources); each entry keeps its own id and
-    optional payload.  Query results are in insertion (id) order; ids come
-    from one counter every poset shares, so the parts of a partitioned
-    poset merge their answers into that order too.
+    range/equality constraints, etc.).  The exact :func:`filter_covers`
+    verification decides every candidate that passes both; answers are
+    identical to the pairwise scan's.  Duplicate filters may be stored
+    (e.g. the same subscription from two sources); each entry keeps its
+    own id and optional payload.  Query results are in insertion (id)
+    order; ids come from one counter every poset shares, so the parts of a
+    partitioned poset merge their answers into that order too.
     """
 
     _ids = count()
@@ -719,18 +792,10 @@ class CoveringPoset:
     def __init__(self) -> None:
         self._filters: dict[int, Filter] = {}
         self._payloads: dict[int, Any] = {}
-        # Buckets are dicts used as ordered sets: they iterate in id
-        # order, and at most sizes take less memory than a set.
-        self._members: defaultdict[Hashable, dict[int, None]] = defaultdict(dict)  # key -> every id holding it
-        self._homes: defaultdict[Hashable, dict[int, None]] = defaultdict(dict)  # key -> ids homed there
-        # Per-entry pruning state: the (name, needed-bits) requirements a
-        # probe must meet to possibly cover the entry, and the entry's
-        # own per-name presence masks (the mirror-direction test).  Both
-        # depend only on the filter's shape — names, operators, value
-        # families — so entries of one shape share one read-only pair
-        # (48 000 band subscriptions are three shapes).
-        self._pruning: dict[int, tuple[tuple, dict[str, int]]] = {}
-        self._shapes: dict[tuple, tuple[tuple, dict[str, int]]] = {}
+        # Buckets are dicts of id -> filter: they iterate in id order, and
+        # at most sizes take less memory than a set.
+        self._members: defaultdict[Hashable, dict[int, Filter]] = defaultdict(dict)  # key -> every id holding it
+        self._homes: defaultdict[Hashable, dict[int, Filter]] = defaultdict(dict)  # key -> ids homed there
         self.checks = 0  # exact filter_covers verifications; intersection runs none
 
     def __len__(self) -> int:
@@ -743,25 +808,14 @@ class CoveringPoset:
         home, smallest = None, 0
         for key in _keys(filter):
             bucket = self._members[key]
-            bucket[pid] = None
+            bucket[pid] = filter
             if home is None or len(bucket) < smallest:
                 home, smallest = key, len(bucket)
-        self._homes[home][pid] = None
-        shape = tuple((c.name, c.op, _family(c.value)) for c in filter.constraints)
-        pruning = self._shapes.get(shape)
-        if pruning is None:
-            if len(self._shapes) >= _SHAPES_MAX:
-                self._shapes.clear()  # live entries keep their own pair
-            pruning = self._shapes[shape] = (
-                tuple((c.name, _cover_needs(c)) for c in filter.constraints),
-                _name_masks(filter),
-            )
-        self._pruning[pid] = pruning
+        self._homes[home][pid] = filter
         return pid
 
     def remove(self, pid: int) -> Any:
         filter = self._filters.pop(pid)
-        del self._pruning[pid]
         for key in _keys(filter):
             for index in (self._members, self._homes):
                 bucket = index.get(key)
@@ -780,23 +834,26 @@ class CoveringPoset:
     # -- candidate pruning ---------------------------------------------
     def _cover_candidates(self, filter: Filter) -> list[int]:
         """Stored ids that could cover ``filter``, unsorted: those homed
-        under one of its keys whose every constraint sees a compatible
-        probe bit (a name the probe lacks sees none).
+        under one of its keys whose bounds the probe's reach and whose
+        every constraint sees a compatible probe bit (a name the probe
+        lacks sees none).
 
         Callers that promise insertion order sort the result; covers_any
         only needs existence and skips the sort on the hot forward path.
         """
-        probe_masks = _name_masks(filter)
-        pruning = self._pruning
+        probe = cover_summary(filter)
+        probe_masks, offers = probe.masks, probe.bounds
         homes = self._homes
         out = []
-        for key in _keys(filter):
-            for pid in homes.get(key, ()):
-                for name, needed in pruning[pid][0]:
-                    if not probe_masks.get(name, 0) & needed:
-                        break
-                else:
-                    out.append(pid)
+        for key in probe.keys:
+            for pid, stored in homes.get(key, _NO_ENTRIES).items():
+                summary = stored._summary or cover_summary(stored)
+                if _bounds_admit(summary.bounds, offers):
+                    for name, needed in summary.needs:
+                        if not probe_masks.get(name, 0) & needed:
+                            break
+                    else:
+                        out.append(pid)
         return out
 
     # -- queries --------------------------------------------------------
@@ -827,21 +884,22 @@ class CoveringPoset:
         Those hold every key of it, so the walk starts from its smallest
         bucket.
         """
-        filters = self._filters
-        probe_reqs = [(c.name, _cover_needs(c)) for c in filter.constraints]
-        pruning = self._pruning
+        probe = cover_summary(filter)
+        needs, demands = probe.needs, probe.bounds
         members = self._members
-        start = min((members.get(key, ()) for key in _keys(filter)), key=len)
+        start = min((members.get(key, _NO_ENTRIES) for key in probe.keys), key=len)
         out = []
-        for pid in start:
-            stored_masks = pruning[pid][1]
-            for name, needed in probe_reqs:
-                if not stored_masks.get(name, 0) & needed:
-                    break
-            else:
-                self.checks += 1
-                if filter_covers(filter, filters[pid]):
-                    out.append(pid)
+        for pid, stored in start.items():
+            summary = stored._summary or cover_summary(stored)
+            if _bounds_admit(demands, summary.bounds):
+                stored_masks = summary.masks
+                for name, needed in needs:
+                    if not stored_masks.get(name, 0) & needed:
+                        break
+                else:
+                    self.checks += 1
+                    if filter_covers(filter, stored):
+                        out.append(pid)
         return out
 
     # -- intersection ---------------------------------------------------

@@ -56,7 +56,7 @@ from repro.events.wire import (
     Unsubscribe,
 )
 from repro.events.filters import Filter, canonical_subject, pinned_subject, sole_subject
-from repro.events.index import CoveringPoset, PredicateIndex
+from repro.events.index import CoveringPoset, PredicateIndex, cover_summary
 from repro.events.model import Notification
 
 Address = Hashable
@@ -293,7 +293,7 @@ class ShardedCoveringPoset(SubjectPartitioned):
     def _parts(self, probe: Filter):
         if self.shared:
             yield None, self.shared
-        key = self._key(sole_subject(probe))
+        key = self._key(cover_summary(probe).subject)
         if key is None:
             yield from self.partitions.items()
         elif key in self.partitions:

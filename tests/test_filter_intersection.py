@@ -417,6 +417,50 @@ class TestOperatorFamilyMaskPruning:
         assert poset.checks - before < 0.5 * 120 * len(probes)
 
 
+class TestBoundPruning:
+    """Numeric bounds prune before ``filter_covers`` too, held to counts of
+    exact checks on a ``mesh_churn``-shaped population: 48 subjects × 20
+    bands ``[type = s] & [strength > a] & [strength < b]``.  One range a
+    side makes the bound test exact here, so a ``covers_any`` miss checks
+    nothing and ``covered_by`` checks only what it returns."""
+
+    @staticmethod
+    def band(subject: str, low: float, width: float) -> Filter:
+        return Filter(type_eq(subject), gt("strength", low), lt("strength", low + width))
+
+    def population(self, rng: random.Random) -> CoveringPoset:
+        poset = CoveringPoset()
+        for s in range(48):
+            for _ in range(20):
+                poset.add(self.band(f"s{s}", rng.uniform(0.0, 10.5), rng.uniform(0.3, 1.2)))
+        return poset
+
+    def test_a_covers_any_miss_checks_nothing(self):
+        rng = random.Random(39)
+        poset = self.population(rng)
+        outcomes = set()
+        for _ in range(400):
+            probe = self.band(f"s{rng.randrange(48)}", rng.uniform(0.0, 11.0), rng.uniform(0.05, 1.2))
+            before = poset.checks
+            hit = poset.covers_any(probe)
+            assert poset.checks - before == (1 if hit else 0), probe
+            outcomes.add(hit)
+        assert outcomes == {True, False}
+
+    def test_covered_by_checks_at_most_its_hits_plus_one(self):
+        rng = random.Random(40)
+        poset = self.population(rng)
+        found = 0
+        for _ in range(200):
+            low = rng.uniform(0.0, 9.0)
+            probe = self.band(f"s{rng.randrange(48)}", low, rng.uniform(0.5, 3.0))
+            before = poset.checks
+            hits = poset.covered_by(probe)
+            assert poset.checks - before <= len(hits) + 1, probe
+            found += len(hits)
+        assert found > 50
+
+
 # ----------------------------------------------------------------------
 # Exactness on the one-constraint grid, and monotonicity.
 # ----------------------------------------------------------------------
@@ -480,6 +524,42 @@ class TestGridExactness:
             assert not filters_intersect(Filter(Constraint("x", op, NAN)), Filter(exists("x"))), op
         # Not an order bound: every number differs from NaN.
         assert filter_satisfiable(Filter(ne("x", NAN)))
+
+    def test_an_open_interval_holding_no_number_is_empty(self):
+        just_above_one = math.nextafter(1.0, 2)
+        assert not filter_satisfiable(Filter(gt("x", 1.0), lt("x", just_above_one)))
+        assert not filter_satisfiable(Filter(gt("x", 10**400), lt("x", 10**400 + 1)))
+        assert not filter_satisfiable(Filter(ge("x", 1.0), lt("x", just_above_one), ne("x", 1)))
+        assert filter_satisfiable(Filter(ge("x", 1.0), lt("x", just_above_one)))
+        assert filter_satisfiable(Filter(gt("x", 10**400), lt("x", 10**400 + 2)))
+        # Above 2**53 floats step by 2, so the one number strictly inside
+        # is an int that no float equals.
+        assert not filter_satisfiable(Filter(gt("x", 2**53), lt("x", 2**53 + 2), ne("x", 2**53 + 1)))
+        assert filter_satisfiable(Filter(gt("x", 2**53), lt("x", 2**53 + 2), ne("x", 2**53 + 2)))
+
+    def test_numeric_groups_are_exact_on_runs_of_adjacent_numbers(self):
+        """Every int and float between a run's ends is in the run, so a
+        group bounded within it is satisfiable iff some run value matches
+        it: two bounds from the run, and maybe one NE exclusion."""
+        above_one = math.nextafter(1.0, 2)
+        runs = [
+            [math.nextafter(1.0, 0), 1.0, above_one, math.nextafter(above_one, 2)],
+            [-5e-324, 0.0, 5e-324, 1e-323],
+            [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3],
+            [10**400 + i for i in range(4)],
+            [-(10**400) - i for i in range(4)],
+        ]
+        verdicts = set()
+        for run in runs:
+            for lo, hi, lo_op, hi_op in itertools.product(run, run, (Op.GT, Op.GE), (Op.LT, Op.LE)):
+                for excluded in [None, *run]:
+                    group = [Constraint("x", lo_op, lo), Constraint("x", hi_op, hi)]
+                    if excluded is not None:
+                        group.append(ne("x", excluded))
+                    want = any(all(constraint_admits(c, v) for c in group) for v in run)
+                    assert filter_satisfiable(Filter(*group)) == want, group
+                    verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_the_empty_string_floors_every_string_range(self):
         floor = Filter(le("x", ""))
