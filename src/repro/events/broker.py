@@ -100,11 +100,11 @@ from repro.events.failure import (
     install_detectors,
 )
 from repro.events.filters import Filter, eq, exists
-from repro.events.index import ScanStore
+from repro.events.index import CoveringPoset, ScanStore
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification
 from repro.events.rendezvous import RendezvousEngine
-from repro.events.sharding import ShardedCoveringPoset, ShardedSubscriptionIndex, ShardPlan
+from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
 from repro.events.subscriptions import Subscription
 from repro.events.table import FilterTable
 from repro.events.wire import (
@@ -245,7 +245,7 @@ class BrokerNode(Host):
         self.shards = shards
         links = self.neighbours if routing == "flood" else frozenset()
         plan = ShardPlan(shards) if shards > 1 else None
-        poset_type = ShardedCoveringPoset if indexed else ScanStore
+        poset_type = CoveringPoset if indexed else ScanStore
         self.subs = FilterTable(
             self.addr, links, self._send_control, Subscribe, Unsubscribe,
             indexed=indexed, covering_enabled=covering_enabled,
@@ -275,8 +275,8 @@ class BrokerNode(Host):
         # Per-source posets over the advertisements received *from* each
         # source — the "does this subtree produce anything the
         # subscription wants?" query behind advertisement pruning.
-        self._adv_in: defaultdict[Address, ShardedCoveringPoset] = defaultdict(poset_type)
-        self._adv_in_ids: dict[tuple[Address, Filter], tuple] = {}
+        self._adv_in: defaultdict[Address, CoveringPoset] = defaultdict(poset_type)
+        self._adv_in_ids: dict[tuple[Address, Filter], int] = {}
         # Publication duplicate suppression: per-origin sequence floors
         # with TTL expiry.  First copy wins; every later copy arriving
         # over a redundant path is dropped here.

@@ -237,13 +237,6 @@ def pinned_subject(filter: Filter) -> str | None:
     return None
 
 
-def sole_subject(filter: Filter) -> str | None:
-    """The one subject ``filter``'s ``type`` equalities name, else ``None``: its part in a
-    subject-partitioned store.  Unlike :func:`pinned_subject`, ``[type = a] & [type = b]`` is None."""
-    subjects = {canonical_subject(c.value) for c in filter.constraints if c.name == "type" and c.op is Op.EQ}
-    return subjects.pop() if len(subjects) == 1 else None
-
-
 # ----------------------------------------------------------------------
 # Convenience constructors mirroring the subscription language's syntax.
 # ----------------------------------------------------------------------

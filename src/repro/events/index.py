@@ -54,10 +54,12 @@ engine pins events to patterns through its own per-type buckets):
   bounds: only one bounding ``x`` at 5 or above — so other probes never
   reach the exact
   :func:`~repro.events.covering.filter_covers` check.  What these tests
-  read of a filter (keys, bitsets, bounds, subject) is its covering
-  summary, built once per filter on its first query, never on ``add``.
-  Brokers hold it partitioned by subject, one part per subject
-  (:class:`~repro.events.sharding.ShardedCoveringPoset`), like the index.
+  read of a filter (keys, bitsets, bounds) is its covering summary,
+  built once per filter on its first query, never on ``add``.
+  Intersection is pruned by each entry's *pin*, the key of its first
+  equality: a probe whose normal form pins that name to another value
+  never meets it, so a probe pinned to one subject pays for that
+  subject's entries and the pin-free ones, not every entry stored.
 
 * :class:`ScanStore` — the naive scans, as a structure either can be
   swapped for, so the routing code runs one algorithm over both.
@@ -77,7 +79,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import count
 from math import inf
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Iterator, Sequence
 
 try:  # vectorised batch counting; every path has a pure-python fallback
     import numpy as _np
@@ -89,10 +91,9 @@ from repro.events.filters import (
     Constraint,
     Filter,
     Op,
+    _normal_form,
     family as _family,
-    filter_satisfiable,
     filters_intersect,
-    sole_subject,
 )
 from repro.events.model import Notification
 
@@ -204,16 +205,19 @@ class _AttributeIndex:
         if op is Op.EXISTS:
             self.exists.remove(fid)
         elif op is Op.EQ:
-            bucket = self.eq[(_family(value), value)]
+            key = (_family(value), value)
+            bucket = self.eq[key]
             bucket.remove(fid)
             if not bucket:
-                del self.eq[(_family(value), value)]
+                del self.eq[key]
         elif op is Op.NE:
             fam = _family(value)
+            key = (fam, value)
             self.ne_all[fam].remove(fid)
-            self.ne_eq[(fam, value)].remove(fid)
-            if not self.ne_eq[(fam, value)]:
-                del self.ne_eq[(fam, value)]
+            bucket = self.ne_eq[key]
+            bucket.remove(fid)
+            if not bucket:
+                del self.ne_eq[key]
         elif op in _RANGE_OPS:
             self.ranges[(op, _family(value))].remove(value, fid)
         elif op is Op.PREFIX:
@@ -728,10 +732,10 @@ class _Summary:
     """What covering queries read of one filter, built on its first query
     and kept on it (``Filter._summary``): its bucket ``keys``, the
     ``(name, bits)`` ``needs`` a probe must meet to be covered by it and its
-    own per-name ``masks`` — one pair shared per shape — its numeric
-    ``bounds`` and its ``subject``."""
+    own per-name ``masks`` — one pair shared per shape — and its numeric
+    ``bounds``."""
 
-    __slots__ = ("keys", "needs", "masks", "bounds", "subject")
+    __slots__ = ("keys", "needs", "masks", "bounds")
 
 
 _NO_ENTRIES: dict[int, Filter] = {}
@@ -759,8 +763,18 @@ def cover_summary(filter: Filter) -> _Summary:
         s.keys = tuple(_keys(filter))
         s.needs, s.masks = _shape_pair(tuple((c.name, c.op, _family(c.value)) for c in filter.constraints))
         s.bounds = _bounds(filter)
-        s.subject = sole_subject(filter)
     return s
+
+
+def _pin(filter: Filter) -> tuple:
+    """The key ``(name, family, value)`` of ``filter``'s first ``=``: the one
+    intersection bucket its entry is filed under.  An entry with no ``=``
+    is filed under ``(None,)``, the one bucket of the name ``None``, which
+    no normal form constrains, so every probe visits it."""
+    for c in filter.constraints:
+        if c.op is Op.EQ:
+            return c.name, _family(c.value), c.value
+    return (None,)
 
 
 class CoveringPoset:
@@ -783,19 +797,26 @@ class CoveringPoset:
     identical to the pairwise scan's.  Duplicate filters may be stored
     (e.g. the same subscription from two sources); each entry keeps its
     own id and optional payload.  Query results are in insertion (id)
-    order; ids come from one counter every poset shares, so the parts of a
-    partitioned poset merge their answers into that order too.
+    order.
+
+    Intersection is pruned by *pins*: every entry is filed once more under
+    its first ``=`` (:func:`_pin`), or in one pin-free bucket when it has
+    none.  A satisfiable filter's normal form pins that name to exactly
+    that value, and two pins meet only when they are equal within one
+    family — which is dict equality of the keys — so a probe whose form
+    pins a name visits only its own bucket of that name (an unsatisfiable
+    entry intersects nothing wherever it is filed).
     """
 
-    _ids = count()
-
     def __init__(self) -> None:
+        self._ids = count()
         self._filters: dict[int, Filter] = {}
         self._payloads: dict[int, Any] = {}
         # Buckets are dicts of id -> filter: they iterate in id order, and
         # at most sizes take less memory than a set.
         self._members: defaultdict[Hashable, dict[int, Filter]] = defaultdict(dict)  # key -> every id holding it
         self._homes: defaultdict[Hashable, dict[int, Filter]] = defaultdict(dict)  # key -> ids homed there
+        self._pinned: dict[str | None, dict[tuple, dict[int, Filter]]] = {}  # name -> pin -> ids filed there
         self.checks = 0  # exact filter_covers verifications; intersection runs none
 
     def __len__(self) -> int:
@@ -812,6 +833,8 @@ class CoveringPoset:
             if home is None or len(bucket) < smallest:
                 home, smallest = key, len(bucket)
         self._homes[home][pid] = filter
+        pin = _pin(filter)
+        self._pinned.setdefault(pin[0], {}).setdefault(pin, {})[pid] = filter
         return pid
 
     def remove(self, pid: int) -> Any:
@@ -823,6 +846,13 @@ class CoveringPoset:
                     bucket.pop(pid, None)
                     if not bucket:
                         del index[key]
+        pin = _pin(filter)
+        buckets = self._pinned[pin[0]]
+        del buckets[pin][pid]
+        if not buckets[pin]:
+            del buckets[pin]
+            if not buckets:
+                del self._pinned[pin[0]]
         return self._payloads.pop(pid)
 
     def payload(self, pid: int) -> Any:
@@ -905,8 +935,26 @@ class CoveringPoset:
     # -- intersection ---------------------------------------------------
     # Intersection cannot be pruned by attribute names the way covering
     # can: two satisfiable filters over disjoint names always intersect.
-    # Each filter meets the probe through its normal form, built once per
-    # filter, so a query scans the part and runs no filter_covers check.
+    # It is pruned by pins instead (see the class docstring), and each
+    # candidate meets the probe through its normal form, built once per
+    # filter; no filter_covers check runs.
+
+    def _pin_buckets(self, filter: Filter) -> Iterator[dict[int, Filter]]:
+        """The buckets that can hold an entry intersecting ``filter``: none
+        when its normal form is ``False``, else per name the bucket of the
+        form's own pin there, or every bucket of the name when the form
+        pins none (the pin-free name ``None`` among them)."""
+        form = _normal_form(filter)
+        if form is False:
+            return
+        for name, buckets in self._pinned.items():
+            pin = form.get(name)
+            if pin is None or type(pin) is tuple:  # unconstrained, or a group
+                yield from buckets.values()
+            else:
+                bucket = buckets.get((name, _family(pin), pin))
+                if bucket is not None:
+                    yield bucket
 
     def intersecting_any(self, filter: Filter) -> bool:
         """Does ``filter`` intersect some stored filter?
@@ -915,15 +963,13 @@ class CoveringPoset:
         store — the advertisement-pruning question "does this subtree
         produce anything this subscription wants?".
         """
-        if not filter_satisfiable(filter):
-            return False
-        return any(filters_intersect(f, filter) for f in self._filters.values())
+        return any(filters_intersect(f, filter) for bucket in self._pin_buckets(filter) for f in bucket.values())
 
     def intersecting(self, filter: Filter) -> list[int]:
         """Every stored filter intersecting ``filter``, in insertion order."""
-        if not filter_satisfiable(filter):
-            return []
-        return [pid for pid, f in self._filters.items() if filters_intersect(f, filter)]
+        return sorted(
+            pid for bucket in self._pin_buckets(filter) for pid, f in bucket.items() if filters_intersect(f, filter)
+        )
 
 
 class ScanStore:

@@ -1,27 +1,24 @@
-"""Subject-partitioned matching and covering, in one process and across a fleet.
+"""Subject-partitioned matching, in one process and across a fleet.
 
-A monolithic :class:`~repro.events.index.PredicateIndex` or
-:class:`~repro.events.index.CoveringPoset` pays for the *whole*
-population on every event or control operation: both are keyed by
-attribute name, and every filter constrains ``strength`` whatever its
-subject.  This module partitions them by subject (the ``type``
-attribute, the key rendezvous routing hashes) so an event or a probe
-pays for its own subject, not the city's.  An ``EQ`` on ``type`` *pins*
-a filter (canonical form: ``2`` and ``2.0`` land together, as matching
-equality folds them); a filter with none, a non-``EQ`` one, or — in one
-process, :func:`~repro.events.filters.sole_subject` — two that differ,
-is a *wildcard*.
+A monolithic :class:`~repro.events.index.PredicateIndex` pays for the
+*whole* population on every event: it is keyed by attribute name, and
+every filter constrains ``strength`` whatever its subject.  This module
+partitions it by subject (the ``type`` attribute, the key rendezvous
+routing hashes) so an event pays for its own subject, not the city's.
+An ``EQ`` on ``type`` *pins* a filter
+(:func:`~repro.events.filters.pinned_subject`; canonical form: ``2`` and
+``2.0`` land together, as matching equality folds them); a filter with
+none, or only a non-``EQ`` one, is a *wildcard*.  The covering posets
+need no such partition: :class:`~repro.events.index.CoveringPoset` keys
+its own entries by every equality, ``type`` among them.
 
-**In one process** — :class:`SubjectPartitioned`: one private part per
-subject (made on first use, dropped with its last filter), **one** shared
-part for wildcards, each filter stored once.  The part type is a class
-attribute: :class:`ShardedSubscriptionIndex` (every broker's subscription
-index) visits shared plus own per event; :class:`ShardedCoveringPoset`
-(every table, link and advertisement poset) sends a pinned probe to its
-own part plus shared, a wildcard probe to all.  With a :class:`ShardPlan`
-(``BrokerNode(shards=n)``) subjects fold onto ``n`` hash-ring shards,
-which in one process only coarsens the partition.  The plan exists for
-the other layer:
+**In one process** — :class:`ShardedSubscriptionIndex` (every broker's
+subscription index): one private index per subject (made on first use,
+dropped with its last filter), **one** shared index for wildcards, each
+filter stored once; an event visits shared plus its own.  With a
+:class:`ShardPlan` (``BrokerNode(shards=n)``) subjects fold onto ``n``
+hash-ring shards, which in one process only coarsens the partition.  The
+plan exists for the other layer:
 
 **Across processes** — :class:`ShardRouter` + :class:`ShardEndpoint`,
 the message-passing fleet — a shard is another process and a second
@@ -44,8 +41,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from functools import partialmethod
-from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.events.wire import (
@@ -55,8 +50,8 @@ from repro.events.wire import (
     Subscribe,
     Unsubscribe,
 )
-from repro.events.filters import Filter, canonical_subject, pinned_subject, sole_subject
-from repro.events.index import CoveringPoset, PredicateIndex, cover_summary
+from repro.events.filters import Filter, canonical_subject, pinned_subject
+from repro.events.index import PredicateIndex
 from repro.events.model import Notification
 
 Address = Hashable
@@ -165,23 +160,23 @@ class ShardPlan:
 _SCALAR_BELOW = 128
 
 
-class SubjectPartitioned:
-    """One private ``part_type`` per pinned subject, one shared for the rest.
+class ShardedSubscriptionIndex:
+    """Drop-in for :class:`PredicateIndex`, one private index per pinned subject.
 
-    A filter lives in the part of its :func:`~repro.events.filters.sole_subject`
+    A filter lives in the index of its :func:`~repro.events.filters.pinned_subject`
     (keyed by ``plan.owner`` of it when a plan folds subjects onto ``n``
     shards), created on first use and dropped with its last filter; every
-    other filter lives in :attr:`shared`.  A ``rid`` is ``(part key, id)``,
-    so the composite keeps no per-filter books of its own.
+    other filter lives in :attr:`shared`.  An event visits the shared index
+    and its own subject's and unions the two.  A ``rid`` is ``(part key,
+    id)``, so the index keeps no per-filter books of its own.
     """
-
-    part_type: type
 
     def __init__(self, plan: ShardPlan | None = None) -> None:
         self.plan = plan
-        self.shared = self.part_type()
-        self.partitions: dict[Hashable, Any] = {}
+        self.shared = PredicateIndex()
+        self.partitions: dict[Hashable, PredicateIndex] = {}
         self._size = 0
+        self._dropped_ops = 0  # walks done by partitions since dropped
 
     def __len__(self) -> int:
         return self._size
@@ -191,20 +186,17 @@ class SubjectPartitioned:
             return canon
         return self.plan.owner(canon)
 
-    def _part(self, key: Hashable):
+    def _part(self, key: Hashable) -> PredicateIndex:
         return self.shared if key is None else self.partitions[key]
 
-    def _retire(self, part) -> None:  # a private part's last filter just left
-        pass
-
     def add(self, filter: Filter, payload: Any = None) -> tuple:
-        key = self._key(sole_subject(filter))
+        key = self._key(pinned_subject(filter))
         if key is None:
             part = self.shared
         else:
             part = self.partitions.get(key)
             if part is None:
-                part = self.partitions[key] = self.part_type()
+                part = self.partitions[key] = PredicateIndex()
         self._size += 1
         return key, part.add(filter, payload=payload)
 
@@ -214,7 +206,7 @@ class SubjectPartitioned:
         payload = part.remove(fid)
         self._size -= 1
         if not part and key is not None:
-            self._retire(part)
+            self._dropped_ops += part.ops
             del self.partitions[key]
         return payload
 
@@ -224,22 +216,11 @@ class SubjectPartitioned:
     def filter_of(self, rid: tuple) -> Filter:
         return self._part(rid[0]).filter_of(rid[1])
 
-
-class ShardedSubscriptionIndex(SubjectPartitioned):
-    """Drop-in for :class:`PredicateIndex`: an event visits the shared index
-    and its own subject's partition and unions the two."""
-
-    part_type = PredicateIndex
-    _dropped_ops = 0  # walks done by partitions since dropped
-
     @property
     def ops(self) -> int:
         """Total candidate-inspection work across every index visited."""
         live = sum(part.ops for part in self.partitions.values())
         return self.shared.ops + live + self._dropped_ops
-
-    def _retire(self, part: PredicateIndex) -> None:
-        self._dropped_ops += part.ops
 
     def _sweep(self, notifications: Sequence[Notification], visit) -> list[set]:
         """Per notification, what ``visit(key, index, group)`` finds in the
@@ -279,39 +260,6 @@ class ShardedSubscriptionIndex(SubjectPartitioned):
 
     def holders(self, notifications: Sequence[Notification]) -> list[set]:
         return self._sweep(notifications, _holders)
-
-
-class ShardedCoveringPoset(SubjectPartitioned):
-    """Drop-in for :class:`CoveringPoset`.  Filters pinned to different
-    subjects neither cover nor intersect, so a pinned probe consults its own
-    part and the shared one; a wildcard probe consults every part (``[type >=
-    s] & [type <= s]`` is covered by ``[type = s]``).  Parts draw ids from one
-    counter, so merged answers sort into insertion (re-forward) order."""
-
-    part_type = CoveringPoset
-
-    def _parts(self, probe: Filter):
-        if self.shared:
-            yield None, self.shared
-        key = self._key(cover_summary(probe).subject)
-        if key is None:
-            yield from self.partitions.items()
-        elif key in self.partitions:
-            yield key, self.partitions[key]
-
-    def _merged(self, query: str, probe: Filter) -> list[tuple]:
-        found = ((key, pid) for key, part in self._parts(probe) for pid in getattr(part, query)(probe))
-        return sorted(found, key=itemgetter(1))
-
-    def covers_any(self, filter: Filter) -> bool:
-        return any(part.covers_any(filter) for _, part in self._parts(filter))
-
-    def intersecting_any(self, filter: Filter) -> bool:
-        return any(part.intersecting_any(filter) for _, part in self._parts(filter))
-
-    covering = partialmethod(_merged, "covering")
-    covered_by = partialmethod(_merged, "covered_by")
-    intersecting = partialmethod(_merged, "intersecting")
 
 
 def _rids(key: Hashable, fids: set[int]) -> set[tuple]:

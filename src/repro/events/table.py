@@ -36,9 +36,8 @@ from operator import attrgetter, indexOf
 from typing import Any, Callable, Collection, Hashable, Sequence
 
 from repro.events.filters import Filter
-from repro.events.index import PredicateIndex, ScanStore
+from repro.events.index import CoveringPoset, PredicateIndex, ScanStore
 from repro.events.model import Notification
-from repro.events.sharding import ShardedCoveringPoset
 from repro.net.network import Address
 
 Path = tuple[Address, ...]
@@ -51,7 +50,7 @@ def _bare(filter: Filter, source: Address | None = None) -> Filter:
 class _Forwarded(Mapping):
     """``neighbour -> [filter, ...]`` in forward order, read off ``fwd_ids``."""
 
-    def __init__(self, fwd_ids: dict[Address, dict[Filter, Hashable]]):
+    def __init__(self, fwd_ids: dict[Address, dict[Filter, int]]):
         self._ids = fwd_ids
 
     def __getitem__(self, neighbour: Address) -> list[Filter]:
@@ -108,7 +107,7 @@ class FilterTable:
         self.by_source: dict[Address, list] = {}
         # ``indexed`` only picks the structures.  Index over every stored
         # filter (payload: the source it arrived from).
-        poset_type = ShardedCoveringPoset if indexed else ScanStore
+        poset_type = CoveringPoset if indexed else ScanStore
         if index is None:
             index = PredicateIndex() if indexed else ScanStore()
         self.index = index
@@ -116,7 +115,7 @@ class FilterTable:
         # Covering poset over the same store — drives the "what was the
         # removed filter masking?" query on removal.
         self.poset = poset_type()
-        self.poset_ids: dict[tuple[Address, Filter], Hashable] = {}
+        self.poset_ids: dict[tuple[Address, Filter], int] = {}
         self.sources: dict[Filter, set[Address]] = {}
         # Source path each stored filter arrived with (clients arrive
         # with the empty path) — re-forwarding a stored filter (link
@@ -126,8 +125,8 @@ class FilterTable:
         # Filters already pushed toward each neighbour, in forward order with
         # their ids in per-neighbour posets over them — the "is this covered
         # by an already-forwarded one?" query.  ``forwarded`` lists them.
-        self.fwd_posets: defaultdict[Address, ShardedCoveringPoset] = defaultdict(poset_type)
-        self.fwd_ids: dict[Address, dict[Filter, Hashable]] = {}
+        self.fwd_posets: defaultdict[Address, CoveringPoset] = defaultdict(poset_type)
+        self.fwd_ids: dict[Address, dict[Filter, int]] = {}
         self.forwarded = _Forwarded(self.fwd_ids)
         # The path each filter was last pushed toward a neighbour with
         # (as a set) — when a narrower copy arrives, the delta is re-sent
@@ -455,8 +454,8 @@ class FilterTable:
         return problems
 
 
-def _named(poset, pid: Hashable) -> Filter | None:  # None: a stale or missing id
+def _named(poset, pid: int | None) -> Filter | None:  # None: a stale or missing id
     try:
         return poset.filter_of(pid)
-    except (KeyError, TypeError):
+    except KeyError:
         return None

@@ -1,19 +1,19 @@
-"""The subject-partitioned covering poset answers exactly as one poset does.
+"""The covering poset answers every query exactly as the scan does.
 
-``ShardedCoveringPoset`` files each filter under the one subject its
-``type`` equalities name (or in a shared part) and lets a probe consult
-only the parts that can hold an answer.  Where that could go wrong is
-which part an awkward filter or probe belongs to: numerics that equality
-folds (``2``, ``2.0``), values it keeps apart (``True``, ``"2"``), two
-conflicting ``type`` equalities, ``type`` constrained without being
-pinned, and no ``type`` at all.  Under add/remove churn every query must
-give the single poset's answer — the three list queries in the same
-order, since ``covered_by`` order is re-forward order.  The same churn
-is held to a ``ScanStore`` too, which answers each query by checking every
-stored filter with ``filter_covers`` / ``filters_intersect`` — the
-reference that does not share the poset's candidate pruning — with
-``intersecting`` in insertion order, which an advert flap's stable re-sort
-into by-source order relies on.
+``CoveringPoset`` prunes covering by each filter's keys and bounds, and
+intersection by each entry's *pin* — the key of its first ``=`` — so a
+probe whose normal form pins that name meets only its own pin's bucket
+and the pin-free entries.  Where that could go wrong is which bucket an
+awkward filter or probe belongs to: numerics that equality folds (``2``,
+``2.0``, ``-0.0``, ``0``), values it keeps apart (``True``, ``1``,
+``"2"``), two conflicting equalities on one name, a name constrained
+without being pinned, a NaN pin, and no pin at all.  Under add/remove
+churn every query must give the answer of a ``ScanStore``, which checks
+every stored filter with ``filter_covers`` / ``filters_intersect`` — the
+reference that shares none of the poset's pruning — with the three list
+queries in insertion order: ``covered_by`` order is re-forward order, and
+an advert flap's stable re-sort into by-source order relies on
+``intersecting``'s.
 
 Bounded in tier-1; ``--hypothesis-profile=nightly`` runs it long.
 """
@@ -21,9 +21,8 @@ Bounded in tier-1; ``--hypothesis-profile=nightly`` runs it long.
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, lt
+from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, lt, ne, prefix
 from repro.events.index import CoveringPoset, ScanStore
-from repro.events.sharding import ShardedCoveringPoset
 
 SUBJECTS = [2, 2.0, True, "2", 0, -0.0, False, "a"]
 # Where dict-key equality and covering equality could part: a NaN is one
@@ -60,9 +59,6 @@ def churn(drawn: st.SearchStrategy) -> st.SearchStrategy:
     )
 
 
-operations = churn(filters)
-
-
 def answers(store, probe: Filter) -> tuple:
     """The five queries, the three lists as payloads in answer order."""
     payload = store.payload
@@ -73,24 +69,6 @@ def answers(store, probe: Filter) -> tuple:
         [payload(rid) for rid in store.covered_by(probe)],
         [payload(rid) for rid in store.intersecting(probe)],
     )
-
-
-@given(operations, st.lists(filters, min_size=1, max_size=4))
-def test_every_query_agrees_with_one_poset_under_churn(ops, probes):
-    one, parted = CoveringPoset(), ShardedCoveringPoset()
-    live: list[tuple[int, tuple, Filter]] = []
-    for n, (kind, arg) in enumerate(ops):
-        if kind == "add":
-            live.append((one.add(arg, payload=n), parted.add(arg, payload=n), arg))
-        elif live:
-            pid, rid, _f = live.pop(arg % len(live))
-            assert parted.filter_of(rid) == one.filter_of(pid)
-            assert parted.remove(rid) == one.remove(pid)
-        assert len(parted) == len(one)
-        assert all(len(part) for part in parted.partitions.values())
-        # Stored filters as probes make covering hits likely.
-        for probe in probes + [f for _pid, _rid, f in live[-2:]]:
-            assert answers(parted, probe) == answers(one, probe), probe
 
 
 # Filters over one attribute make covering pairs common, so a pruning
@@ -114,19 +92,58 @@ scan_operations = churn(scan_filters)
 # A NaN bound beside an empty interval: the posets answered False / [] on
 # the unsatisfiable probe while the scan's merged group read satisfiable.
 @example([("add", Filter(eq("type", 2))), ("add", Filter(lt("x", float("nan"))))], [Filter(lt("x", 2), gt("x", 2))])
+# Pins on names other than ``type``, the first ``=`` deciding the bucket.
+@example(
+    [
+        ("add", Filter(eq("x", 1), eq("y", "a"))),
+        ("add", Filter(eq("y", "a"), gt("x", 0))),
+        ("add", Filter(eq("x", 2))),
+        ("remove", 0),
+    ],
+    [Filter(eq("x", 1.0)), Filter(eq("y", "a"), eq("x", 2)), Filter(eq("y", "b"))],
+)
+# A probe that constrains a pinned name without pinning it meets every pin of it.
+@example(
+    [("add", Filter(eq("x", 1))), ("add", Filter(eq("x", 5), eq("type", "a"))), ("add", Filter(eq("x", "5")))],
+    [Filter(gt("x", 2)), Filter(ne("x", 1)), Filter(exists("x")), Filter(prefix("x", "5"))],
+)
+# Two conflicting pins: unsatisfiable as an entry and as a probe.
+@example(
+    [
+        ("add", Filter(eq("type", "a"), eq("type", "b"))),
+        ("add", Filter(eq("type", "a"))),
+        ("add", Filter(eq("type", "b"))),
+    ],
+    [Filter(eq("type", "a"), eq("type", "b")), Filter(eq("type", "b")), Filter(eq("type", "a"))],
+)
+# Pins equality folds (2 / 2.0, -0.0 / 0) and one it keeps apart (True / 1).
+@example(
+    [("add", Filter(eq("type", 2))), ("add", Filter(eq("type", True))), ("add", Filter(eq("type", -0.0)))],
+    [Filter(eq("type", 2.0)), Filter(eq("type", 1)), Filter(eq("type", 0)), Filter(eq("type", True))],
+)
+# A NaN pin: one dict key with itself, yet it equals nothing.
+@example(
+    [
+        ("add", Filter(eq("x", AWKWARD[0]))),
+        ("add", Filter(eq("x", AWKWARD[0]), gt("y", 1))),
+        ("add", Filter(eq("x", 1))),
+        ("remove", 1),
+    ],
+    [Filter(eq("x", AWKWARD[0])), Filter(exists("x")), Filter(eq("x", 1))],
+)
 def test_every_query_agrees_with_the_scan_under_churn(ops, probes):
-    scan, parted = ScanStore(), ShardedCoveringPoset()
+    scan, poset = ScanStore(), CoveringPoset()
     live: list[tuple[int, int, Filter]] = []
     for n, (kind, arg) in enumerate(ops):
         if kind == "add":
-            live.append((scan.add(arg, payload=n), parted.add(arg, payload=n), arg))
+            live.append((scan.add(arg, payload=n), poset.add(arg, payload=n), arg))
         elif live:
-            sid, rid, _f = live.pop(arg % len(live))
-            assert parted.filter_of(rid) is scan.filter_of(sid)
-            assert parted.remove(rid) == scan.remove(sid)
-        assert len(parted) == len(scan)
-        for probe in probes + [f for _sid, _rid, f in live[-2:]]:
-            assert answers(parted, probe) == answers(scan, probe), probe
+            sid, pid, _f = live.pop(arg % len(live))
+            assert poset.filter_of(pid) is scan.filter_of(sid)
+            assert poset.remove(pid) == scan.remove(sid)
+        assert len(poset) == len(scan)
+        for probe in probes + [f for _sid, _pid, f in live[-2:]]:
+            assert answers(poset, probe) == answers(scan, probe), probe
 
 
 def test_every_one_constraint_pair_agrees_with_the_scan():
@@ -141,12 +158,12 @@ def test_every_one_constraint_pair_agrees_with_the_scan():
         if op is not Op.EXISTS
         for value in (PATTERNS if op in (Op.PREFIX, Op.SUFFIX, Op.CONTAINS) else VALUES)
     ]
-    scan, parted = ScanStore(), ShardedCoveringPoset()
+    scan, poset = ScanStore(), CoveringPoset()
     for n, filter in enumerate(grid):
         scan.add(filter, payload=n)
-        parted.add(filter, payload=n)
+        poset.add(filter, payload=n)
     for probe in grid + [Filter(Constraint("y", Op.EXISTS))]:
-        assert answers(parted, probe) == answers(scan, probe), probe
+        assert answers(poset, probe) == answers(scan, probe), probe
 
 
 def test_a_probe_meets_only_the_entries_holding_its_keys():

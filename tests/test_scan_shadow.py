@@ -3,7 +3,7 @@
 The equivalence suites compare deliveries, and a covering answer that is
 too narrow or too wide can hide behind them for a long time.  Here every
 ``PredicateIndex``, ``ShardedSubscriptionIndex`` and
-``ShardedCoveringPoset`` the filter tables and the broker build is wrapped
+``CoveringPoset`` the filter tables and the broker build is wrapped
 in :class:`tests.helpers.Shadow`, which answers each query from a
 ``ScanStore`` too and raises on the first difference.
 ``tests/test_filter_table.py``'s churn test then runs as written, auditing
@@ -27,9 +27,9 @@ from tests.test_filter_table import TYPES
 from tests.test_retraction_reference import deliveries
 
 SHADOWED = [
-    (table, "ShardedCoveringPoset"),
+    (table, "CoveringPoset"),
     (table, "PredicateIndex"),
-    (broker, "ShardedCoveringPoset"),
+    (broker, "CoveringPoset"),
     (broker, "ShardedSubscriptionIndex"),
 ]
 USERS = ["ann", "bob", "cy"]
@@ -67,6 +67,7 @@ def test_churn_answers_every_query_as_the_scan_does(mode, seed, monkeypatch):
     assert len(built) >= 5 * 4
     checked = checked_by_kind(built)
     assert all(checked.values()), checked
+    assert checked.get("CoveringPoset"), checked  # a renamed poset would go unshadowed
     asked = sum((shadow.asked for shadow in built), start=Counter())
     assert asked["filter_of"] > 0, asked
     if mode == "adv_pruned":
@@ -76,9 +77,9 @@ def test_churn_answers_every_query_as_the_scan_does(mode, seed, monkeypatch):
 
 def agent_shaped(rng: random.Random) -> Filter:
     """Mostly Figure 1's agent filters ``[type = suggestion, user = u]``,
-    which share one part and differ only in an equality; beside them a
-    wildcard every part is asked about, and filters sharing no attribute
-    with an agent, which the churn of the first test never stores."""
+    which share one pin and differ only in an equality; beside them
+    filters pinned on ``user`` or on nothing, and filters sharing no
+    attribute with an agent, which the churn of the first test never stores."""
     roll = rng.random()
     user = eq("user", rng.choice(USERS))
     if roll < 0.5:
@@ -100,7 +101,8 @@ def test_agent_shaped_churn_answers_every_query_as_the_scan_does(mode, seed, mon
     built = shadow_everything(monkeypatch)
     monkeypatch.setattr(table_suite, "random_filter", agent_shaped)
     assert sum(map(len, deliveries(mode, seed, monkeypatch))) > 0
-    assert all(checked_by_kind(built).values())
+    checked = checked_by_kind(built)
+    assert all(checked.values()) and checked.get("CoveringPoset"), checked
     asked = sum((shadow.asked for shadow in built), start=Counter())
     assert asked["covered_by"] and asked["covers_any"], asked
 

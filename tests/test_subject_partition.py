@@ -1,4 +1,5 @@
-"""The broker's subscription index and posets, partitioned by pinned subject.
+"""The broker's subscription index partitioned by pinned subject, and the
+poset's intersection pruned by pins.
 
 Plan-less ``ShardedSubscriptionIndex()`` — the index ``BrokerNode`` builds
 for its subscription table — keeps one private ``PredicateIndex`` per
@@ -6,10 +7,13 @@ pinned subject and one shared index for everything else.  It must answer
 exactly what a bare ``PredicateIndex`` answers (which subject an awkward
 filter or event belongs to is where it could go wrong), keep no partition
 whose last filter has left, and do a small fraction of the monolith's
-candidate work on a city-shaped population.  The covering posets are
-partitioned the same way (``ShardedCoveringPoset``; its answers are
-property-tested in ``tests/test_poset_properties.py``): here, a churning
-mesh makes no exact check between filters of two different subjects.
+candidate work on a city-shaped population.  The covering posets are not
+partitioned: one ``CoveringPoset`` files each entry under its pin, the key
+of its first ``=``, so a probe pinned to one subject meets that subject's
+bucket and the pin-free entries (its answers are property-tested in
+``tests/test_poset_properties.py``).  Here that is held to counts: of the
+entries a pinned probe's intersection queries check, and, on a churning
+mesh, of exact checks between filters of two different subjects — none.
 """
 
 import random
@@ -20,7 +24,7 @@ import pytest
 from repro.events import index as index_module
 from repro.events.broker import BrokerNode, SienaClient, build_broker_mesh
 from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, lt, pinned_subject
-from repro.events.index import PredicateIndex
+from repro.events.index import CoveringPoset, PredicateIndex
 from repro.events.model import Notification, make_event
 from repro.events.sharding import ShardedSubscriptionIndex
 from repro.net import FixedLatency, Network, Position
@@ -219,3 +223,45 @@ def test_mesh_churn_makes_no_cross_subject_exact_check(monkeypatch):
         broker.check_invariants()
     assert checks["filter_covers", 2] == checks["filters_intersect", 2] == 0
     assert checks["filter_covers", 1] > 100 and checks["filters_intersect", 1] > 100
+
+
+def test_a_pinned_probe_checks_only_its_subject_and_the_pin_free(monkeypatch):
+    # A count, not a speed: 48 subjects x 20 adverts, each pinned by its
+    # first ``=`` (a second ``=`` on ``room`` must not decide its bucket),
+    # and three pin-free adverts filed among them.
+    met: list[Filter] = []
+
+    def counted(stored, probe, exact=index_module.filters_intersect):
+        met.append(stored)
+        return exact(stored, probe)
+
+    poset = CoveringPoset()
+    free = [Filter(gt("strength", 3.0 + k)) for k in range(3)]
+    own: list[Filter] = []
+    ids = {}
+    for subject in range(48):
+        if subject % 16 == 0:
+            ids[free[subject // 16]] = poset.add(free[subject // 16])
+        for level in range(20):
+            pins = eq("type", f"kind-{subject}"), eq("room", f"room-{level % 4}")
+            advert = Filter(*pins, gt("strength", float(level)))
+            ids[advert] = poset.add(advert)
+            if subject == 7:
+                own.append(advert)
+    monkeypatch.setattr(index_module, "filters_intersect", counted)
+    allowed = {id(f) for f in own + free}
+    for probe, want in (
+        (Filter(eq("type", "kind-7"), lt("strength", -1.0)), []),  # meets nothing: every candidate is checked
+        (Filter(eq("type", "kind-7"), lt("strength", 5.5)), [*free, *own[:6]]),
+    ):
+        met.clear()
+        assert poset.intersecting(probe) == sorted(ids[f] for f in want)
+        assert sorted(map(id, met)) == sorted(allowed)
+        met.clear()
+        assert poset.intersecting_any(probe) is bool(want)
+        assert set(map(id, met)) <= allowed and (want or len(met) == len(allowed))
+    met.clear()
+    assert poset.intersecting(Filter(eq("type", "kind-7"), eq("type", "kind-8"))) == []
+    assert not met  # a probe that matches nothing checks nothing
+    assert len(poset.intersecting(Filter(exists("type"), lt("strength", 0.5)))) == 48
+    assert len(met) == len(poset)  # a probe pinning no name meets every entry

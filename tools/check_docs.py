@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift check: the architecture/benchmark docs must track the code.
 
-Five invariants, each cheap to check from file contents alone:
+Six invariants, each cheap to check from file contents alone:
 
 1. Every routing mode accepted by ``BrokerNode`` (the ``ROUTING_MODES``
    tuple, whichever module under ``src/repro/events/`` holds it) and
@@ -20,6 +20,11 @@ Five invariants, each cheap to check from file contents alone:
    class and module-level name is named somewhere besides its own
    definition, in ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
    ``tools/`` (see :func:`unread_definitions`).
+6. Every CamelCase name in an inline code span of ``docs/ARCHITECTURE.md``,
+   ``docs/BENCHMARKS.md`` or ``README.md`` is a class or function defined
+   under ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
+   ``tools/``, or a Python builtin (see :func:`undefined_doc_names`), so a
+   doc cannot keep naming a class that is gone.
 
 Run from the repo root: ``python tools/check_docs.py``.  Exits 1 and
 lists every problem, so adding a benchmark or a routing mode without
@@ -34,6 +39,7 @@ and always exits 0.
 from __future__ import annotations
 
 import ast
+import builtins
 import json
 import re
 import sys
@@ -161,6 +167,36 @@ def _decorator_name(node: ast.expr) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
+# A name with two or more capitalised humps (``CoveringPoset``, not
+# ``Filter`` or ``EQ``), as a word of an inline code span.
+CAMEL_CASE = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+DOCS = ("docs/ARCHITECTURE.md", "docs/BENCHMARKS.md", "README.md")
+
+
+def undefined_doc_names() -> list[str]:
+    """CamelCase names the docs put in code spans that nothing defines.
+
+    A name is defined when a ``class`` or ``def`` of that name exists in a
+    ``.py`` file under :data:`READER_DIRS`, or when it is a builtin
+    (``TypeError``).  Fenced blocks are shell commands and are skipped.
+    """
+    defined = set(dir(builtins))
+    for top in READER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            defined.update(
+                node.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            )
+    problems = []
+    for doc in DOCS:
+        text = re.sub(r"```.*?```", "", (ROOT / doc).read_text(), flags=re.S)
+        for span in re.findall(r"`([^`]+)`", text):
+            for name in CAMEL_CASE.findall(span):
+                if name not in defined:
+                    problems.append(f"{doc} names `{name}`, which nothing under {', '.join(READER_DIRS)} defines")
+    return problems
+
+
 def unset_options() -> list[str]:
     """Defaulted parameters of the public surface that nobody sets.
 
@@ -276,6 +312,7 @@ def main() -> int:
 
     problems += upward_imports()
     problems += unread_definitions()
+    problems += undefined_doc_names()
 
     if problems:
         for problem in problems:
